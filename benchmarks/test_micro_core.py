@@ -6,11 +6,12 @@ primitives: the two shedders, edge betweenness, the greedy b-matching,
 PageRank, and the incremental tracker.
 """
 
+import numpy as np
 import pytest
 
-from repro.core import BM2Shedder, CRRShedder, DegreeTracker
+from repro.core import ArrayDegreeTracker, BM2Shedder, CRRShedder
 from repro.core.discrepancy import round_half_up
-from repro.graph import edge_betweenness, greedy_b_matching, pagerank, powerlaw_cluster
+from repro.graph import edge_betweenness, greedy_b_matching_ids, pagerank, powerlaw_cluster
 
 
 @pytest.fixture(scope="module")
@@ -35,9 +36,11 @@ def test_edge_betweenness_sampled(benchmark, graph):
 
 
 def test_greedy_b_matching(benchmark, graph):
-    capacities = {node: max(1, graph.degree(node) // 2) for node in graph.nodes()}
-    matched = benchmark(lambda: greedy_b_matching(graph, capacities))
-    assert matched
+    csr = graph.csr()
+    edge_u, edge_v = csr.edge_list_ids()
+    capacities = np.maximum(1, csr.degree_array() // 2)
+    kept = benchmark(lambda: greedy_b_matching_ids(edge_u, edge_v, capacities))
+    assert kept.any()
 
 
 def test_pagerank(benchmark, graph):
@@ -46,7 +49,7 @@ def test_pagerank(benchmark, graph):
 
 
 def test_tracker_swap_throughput(benchmark, graph):
-    tracker = DegreeTracker(graph, 0.5)
+    tracker = ArrayDegreeTracker(graph, 0.5)
     edges = list(graph.edges())
     half = len(edges) // 2
     for edge in edges[:half]:

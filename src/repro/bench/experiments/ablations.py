@@ -60,9 +60,9 @@ def run_initial_ranking(quick: bool = True, seed: int = 0, p: float = 0.5) -> Be
     """Ablation: betweenness-ranked vs random phase-1 edge selection."""
     graph = _graph(quick, seed)
     rows = []
-    for label, skip in (("betweenness", False), ("random", True)):
+    for label in ("betweenness", "random"):
         # steps = 0 isolates the phase-1 selection strategy.
-        shedder = CRRShedder(steps_factor=0.0, skip_ranking=skip, seed=seed)
+        shedder = CRRShedder(steps_factor=0.0, importance=label, seed=seed)
         result = shedder.reduce(graph, p)
         rows.append(
             [

@@ -8,7 +8,6 @@ theoretical bounds from Theorems 1-2, and structure-blind ablation shedders.
 from repro.core.base import EdgeShedder, ReductionResult, timed_phase, validate_ratio
 from repro.core.bm2 import (
     BM2Shedder,
-    bipartite_repair,
     bipartite_repair_ids,
     weighted_bipartite_repair_ids,
 )
@@ -22,7 +21,6 @@ from repro.core.core_shed import CoreShedder
 from repro.core.crr import CRRShedder, IndexedEdgePool
 from repro.core.discrepancy import (
     ArrayDegreeTracker,
-    DegreeTracker,
     add_change_from_dis,
     compute_delta,
     remove_change_from_dis,
@@ -48,14 +46,12 @@ __all__ = [
     "CRRShedder",
     "IndexedEdgePool",
     "BM2Shedder",
-    "bipartite_repair",
     "bipartite_repair_ids",
     "weighted_bipartite_repair_ids",
     "edcs_beta",
     "prune_candidates_ids",
     "prune_boundary_ids",
     "ArrayDegreeTracker",
-    "DegreeTracker",
     "compute_delta",
     "round_half_up",
     "add_change_from_dis",

@@ -13,7 +13,7 @@ Faithfulness notes:
 * The paper accepts a swap when ``d₁ + d₂ < 0`` with ``d₁``/``d₂`` computed
   independently (lines 10-11).  When ``e₁`` and ``e₂`` share an endpoint the
   independent sum double-counts that node; we evaluate the *exact* joint
-  change (:meth:`DegreeTracker.swap_change`), which is identical whenever
+  change (:meth:`ArrayDegreeTracker.swap_change_ids`), which is identical whenever
   the edges are disjoint — the overwhelmingly common case — and guarantees
   the invariant that an accepted swap never increases ``Δ``.
 * ``steps`` defaults to ``[10·P]``, the setting the paper selects from its
@@ -32,7 +32,6 @@ import numpy as np
 from repro.core.base import EdgeShedder, timed_phase
 from repro.core.discrepancy import (
     ArrayDegreeTracker,
-    DegreeTracker,
     round_half_up,
     weighted_swap_change_from_dis,
 )
@@ -112,19 +111,11 @@ class CRRShedder(EdgeShedder):
         steps_factor: the ``x`` in ``steps = [x·P]`` (paper: 10).
         num_betweenness_sources: if set, estimate edge betweenness from this
             many sampled sources instead of exactly (for large graphs).
-        skip_ranking: ablation switch — replace Phase 1's betweenness ranking
-            with a random initial edge set (isolates what the ranking buys).
-            Shorthand for ``importance="random"``.
         importance: Phase 1's edge-importance signal — ``"betweenness"``
-            (the paper's choice, default), ``"random"``, or a callable
+            (the paper's choice, default), ``"random"`` (the ablation that
+            isolates what the ranking buys), or a callable
             ``Graph -> {edge: score}`` for custom criteria (edges are then
             ranked by score, ties broken randomly).
-        engine: ``"array"`` (default) runs the rewiring loop over flat
-            CSR-id arrays with block-drawn swap candidates and batched
-            Δ-change evaluation; ``"legacy"`` is the original scalar loop
-            over :class:`DegreeTracker`, kept as the exactness oracle.
-            Both engines consume the RNG identically and accept the exact
-            same swap sequence, so the reduced graph is the same either way.
         seed: randomness for tie-breaking, swap sampling, and the sampled
             betweenness estimator.
     """
@@ -136,35 +127,23 @@ class CRRShedder(EdgeShedder):
         steps: Optional[int] = None,
         steps_factor: float = 10.0,
         num_betweenness_sources: Optional[int] = None,
-        skip_ranking: bool = False,
         importance: "str | ImportanceFn" = "betweenness",
-        engine: str = "array",
         seed: RandomState = None,
     ) -> None:
         if steps is not None and steps < 0:
             raise ValueError(f"steps must be non-negative, got {steps}")
         if steps_factor < 0:
             raise ValueError(f"steps_factor must be non-negative, got {steps_factor}")
-        if skip_ranking:
-            importance = "random"
         if isinstance(importance, str) and importance not in ("betweenness", "random"):
             raise ValueError(
                 f"importance must be 'betweenness', 'random', or a callable,"
                 f" got {importance!r}"
             )
-        if engine not in ("array", "legacy"):
-            raise ValueError(f"engine must be 'array' or 'legacy', got {engine!r}")
         self.steps = steps
         self.steps_factor = steps_factor
         self.num_betweenness_sources = num_betweenness_sources
         self.importance = importance
-        self.engine = engine
         self._seed = seed
-
-    @property
-    def skip_ranking(self) -> bool:
-        """Back-compat view: True when Phase 1 ranks randomly."""
-        return self.importance == "random"
 
     def _reduce(self, graph: Graph, p: float) -> Tuple[Graph, Dict[str, Any]]:
         rng = ensure_rng(self._seed)
@@ -179,54 +158,14 @@ class CRRShedder(EdgeShedder):
             "initial_ranking": (
                 self.importance if isinstance(self.importance, str) else "custom"
             ),
-            "engine": self.engine,
         }
         with timed_phase(stats, "ranking_seconds"):
             kept_edges = self._initial_edges(graph, target, rng)
-        rewire = self._rewire_array if self.engine == "array" else self._rewire_legacy
         with timed_phase(stats, "rewiring_seconds"):
-            reduced = rewire(graph, p, kept_edges, steps, rng, stats)
+            reduced = self._rewire(graph, p, kept_edges, steps, rng, stats)
         return reduced, stats
 
-    def _rewire_legacy(
-        self,
-        graph: Graph,
-        p: float,
-        kept_edges: List[Edge],
-        steps: int,
-        rng: np.random.Generator,
-        stats: Dict[str, Any],
-    ) -> Graph:
-        """The original scalar rewiring loop (the array engine's oracle)."""
-        tracker = DegreeTracker(graph, p)
-        for u, v in kept_edges:
-            tracker.add_edge(u, v)
-
-        kept = IndexedEdgePool(kept_edges)
-        kept_set = set(kept_edges)
-        shed = IndexedEdgePool(e for e in graph.edges() if e not in kept_set)
-
-        accepted = 0
-        attempted = 0
-        if len(kept) and len(shed):
-            for _ in range(steps):
-                edge_out = kept.sample(rng)
-                edge_in = shed.sample(rng)
-                attempted += 1
-                if tracker.swap_change(edge_out, edge_in) < -_MIN_IMPROVEMENT:
-                    tracker.apply_swap(edge_out, edge_in)
-                    kept.remove(edge_out)
-                    shed.add(edge_out)
-                    shed.remove(edge_in)
-                    kept.add(edge_in)
-                    accepted += 1
-
-        stats["attempted_swaps"] = attempted
-        stats["accepted_swaps"] = accepted
-        stats["tracker_delta"] = tracker.delta
-        return graph.edge_subgraph(kept.items())
-
-    def _rewire_array(
+    def _rewire(
         self,
         graph: Graph,
         p: float,
@@ -239,14 +178,15 @@ class CRRShedder(EdgeShedder):
 
         The kept/shed pools are flat endpoint-id arrays mirroring
         :class:`IndexedEdgePool`'s swap-pop layout, so sampled positions
-        refer to the same edges as in the legacy loop; swap candidates are
-        pre-drawn in blocks with one broadcast ``rng.integers`` call per
-        block, which produces the exact bit stream of the legacy loop's
-        alternating scalar draws; Δ-changes are evaluated in adaptive
-        vectorized chunks and every acceptance re-evaluates from the next
-        step, so each accept/reject decision is made from the same tracker
-        state the scalar loop would see.  The accepted swap sequence — and
-        hence the reduced graph — is identical to ``engine="legacy"``.
+        refer to the same edges as in the scalar loop of Algorithm 1;
+        swap candidates are pre-drawn in blocks with one broadcast
+        ``rng.integers`` call per block, which produces the exact bit
+        stream of the scalar loop's alternating draws; Δ-changes are
+        evaluated in adaptive vectorized chunks and every acceptance
+        re-evaluates from the next step, so each accept/reject decision is
+        made from the same tracker state the scalar loop would see.  The
+        accepted swap sequence — and hence the reduced graph — is
+        identical to the scalar oracle's (``tests/oracles/crr.py``).
         """
         csr = graph.csr()
         index_of = csr.index_of
@@ -286,7 +226,7 @@ class CRRShedder(EdgeShedder):
             dis = tracker.dis_array()  # live view; apply_swap_ids updates it
         while done < steps:
             block = min(_DRAW_BLOCK, steps - done)
-            # One broadcast call = the legacy loop's 2·block alternating
+            # One broadcast call = the scalar loop's 2·block alternating
             # integers(P)/integers(S) draws, bit for bit.
             draws = rng.integers(0, pool_sizes[: 2 * block])
             kept_idx = draws[0::2]
@@ -370,7 +310,7 @@ class CRRShedder(EdgeShedder):
 
 
 # ----------------------------------------------------------------------
-# Id-native CRR core — shared by the whole-graph array engine and the
+# Id-native CRR core — shared by the whole-graph shedder and the
 # per-shard runner (repro.shard), which feeds it CSR *views*.
 # ----------------------------------------------------------------------
 
@@ -427,9 +367,9 @@ def crr_rewire_ids(
     tracker = ArrayDegreeTracker.from_csr(csr, p, weighted=weighted)
     tracker.add_edges_ids(kept_u, kept_v)
 
-    # Shed pool = edge-scan order minus the kept set (same positions the
-    # legacy IndexedEdgePool assigns).  Canonical orientation puts the
-    # smaller id first on both sides, so the keys line up.
+    # Shed pool = edge-scan order minus the kept set (the positions an
+    # IndexedEdgePool filled in edge order assigns).  Canonical orientation
+    # puts the smaller id first on both sides, so the keys line up.
     edge_u, edge_v = csr.edge_list_ids()
     shed_mask = ~np.isin(edge_u * n + edge_v, kept_u * n + kept_v)
     shed_u = edge_u[shed_mask]
@@ -460,11 +400,10 @@ def crr_reduce_ids(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Full CRR (rank + rewire) over a CSR snapshot, returning kept edge ids.
 
-    The id-space counterpart of :meth:`CRRShedder._reduce` for the array
-    engine: identical target/steps arithmetic, identical RNG consumption.
-    The per-shard runner calls this on each :class:`CSRView`; calling it on
-    a whole-graph snapshot reproduces ``CRRShedder(engine="array")``'s kept
-    edge arrays bit for bit.
+    The id-space counterpart of :meth:`CRRShedder._reduce`: identical
+    target/steps arithmetic, identical RNG consumption.  The per-shard
+    runner calls this on each :class:`CSRView`; calling it on a whole-graph
+    snapshot reproduces ``CRRShedder``'s kept edge arrays bit for bit.
 
     ``weighted=True`` rewires against expected-degree mass (see
     :func:`crr_rewire_ids`); Phase 1's betweenness ranking stays purely

@@ -2,8 +2,8 @@
 
 Everything the link-prediction evaluation task needs, implemented in plain
 numpy (no external ML dependencies).  Walk generation and SGNS training
-both run array-native by default (``engine="batched"``) with the original
-scalar implementations kept as ``engine="legacy"`` oracles.
+run array-native; the original scalar implementations are the oracles in
+``tests/oracles/embedding.py``.
 """
 
 from repro.embedding.kmeans import KMeansResult, kmeans

@@ -25,9 +25,10 @@ explicit weight default to ``1.0`` (a certain edge).
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, Optional, Tuple
 
-from repro.errors import EdgeNotFoundError, NodeNotFoundError, SelfLoopError
+from repro.errors import EdgeNotFoundError, GraphError, NodeNotFoundError, SelfLoopError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.graph.csr import CSRAdjacency
@@ -36,6 +37,14 @@ __all__ = ["Graph", "Node", "Edge"]
 
 Node = Hashable
 Edge = Tuple[Node, Node]
+
+
+def _finite_weight(weight: float) -> float:
+    """``weight`` as a float; :class:`GraphError` if it is NaN or infinite."""
+    value = float(weight)
+    if not math.isfinite(value):
+        raise GraphError(f"edge weight must be finite, got {weight!r}")
+    return value
 
 
 class Graph:
@@ -111,12 +120,16 @@ class Graph:
         """Add the undirected edge ``(u, v)``, creating endpoints as needed.
 
         Returns ``True`` if the edge is new, ``False`` if it already existed.
-        Raises :class:`SelfLoopError` for ``u == v``.  An explicit ``weight``
-        makes the graph weighted (see :attr:`is_weighted`); re-adding an
-        existing edge with a weight updates that weight.
+        Raises :class:`SelfLoopError` for ``u == v`` and :class:`GraphError`
+        for a NaN or infinite ``weight`` (the graph is left unchanged).  An
+        explicit ``weight`` makes the graph weighted (see
+        :attr:`is_weighted`); re-adding an existing edge with a weight
+        updates that weight.
         """
         if u == v:
             raise SelfLoopError(u)
+        if weight is not None:
+            weight = _finite_weight(weight)
         self.add_node(u)
         self.add_node(v)
         if v in self._adj[u]:
@@ -128,8 +141,8 @@ class Graph:
         self._num_edges += 1
         if weight is not None:
             weights = self._ensure_weights()
-            weights[u][v] = float(weight)
-            weights[v][u] = float(weight)
+            weights[u][v] = weight
+            weights[v][u] = weight
         elif self._weights is not None:
             self._weights[u][v] = 1.0
             self._weights[v][u] = 1.0
@@ -193,13 +206,15 @@ class Graph:
         """Set the weight of the existing edge ``(u, v)``.
 
         Makes the graph weighted if it was not already (every other edge
-        defaults to 1.0).  Raises :class:`EdgeNotFoundError` if absent.
+        defaults to 1.0).  Raises :class:`EdgeNotFoundError` if absent and
+        :class:`GraphError` for a NaN or infinite ``weight``.
         """
+        weight = _finite_weight(weight)
         if not self.has_edge(u, v):
             raise EdgeNotFoundError(u, v)
         weights = self._ensure_weights()
-        weights[u][v] = float(weight)
-        weights[v][u] = float(weight)
+        weights[u][v] = weight
+        weights[v][u] = weight
         self._csr_cache = None
         self._version += 1
 

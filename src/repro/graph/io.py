@@ -13,8 +13,9 @@ dropping the information on the floor.
 
 Edge lists may carry a third column of edge weights (existence
 probabilities in the uncertain-graph workload).  ``weight_col`` selects
-it; probabilities are clamped into ``[0, 1]`` and the summary counts how
-many rows were out of range, so noisy files degrade loudly, not silently.
+it; finite probabilities are clamped into ``[0, 1]`` and the summary
+counts how many rows were out of range, so noisy files degrade loudly, not
+silently.  A ``nan`` or ``inf`` token is rejected with its ``path:line``.
 
 :func:`graph_to_payload` / :func:`graph_from_payload` expose the JSON
 wire shape ``{"nodes": [...], "edges": [[u, v], ...]}`` directly, so the
@@ -26,6 +27,7 @@ document without double-encoding.  Weighted graphs add a parallel
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple, Union
@@ -139,6 +141,11 @@ def read_edge_list_with_summary(
                     raise GraphError(
                         f"{path}:{line_number}: bad weight token {parts[weight_col]!r}"
                     ) from None
+                if not math.isfinite(weight):
+                    raise GraphError(
+                        f"{path}:{line_number}: non-finite weight token"
+                        f" {parts[weight_col]!r}"
+                    )
                 if weight < 0.0 or weight > 1.0:
                     clamped += 1
                     weight = min(1.0, max(0.0, weight))

@@ -88,8 +88,9 @@ class Histogram:
     """Fixed-bucket histogram with exact count/sum/min/max.
 
     Quantiles are conservative (the upper bound of the bucket holding the
-    q-th observation), which keeps them deterministic and allocation-free
-    — good enough for the latency telemetry the service reports.
+    q-th observation, capped at the observed maximum), which keeps them
+    deterministic and allocation-free — good enough for the latency
+    telemetry the service reports.
     """
 
     __slots__ = ("name", "_bounds", "_buckets", "_count", "_sum", "_min", "_max", "_lock")
@@ -124,8 +125,10 @@ class Histogram:
     def quantile(self, q: float) -> float:
         """Upper bound of the bucket containing the ``q``-th observation.
 
-        The overflow bucket reports the exact observed maximum.  Returns
-        0.0 when the histogram is empty.
+        Capped at the observed maximum, so the estimate never leaves the
+        observed ``[min, max]`` range (a bucket's upper bound is already at
+        least every value in it); the overflow bucket reports the maximum
+        itself.  Returns 0.0 when the histogram is empty.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
@@ -138,7 +141,7 @@ class Histogram:
                 seen += bucket_count
                 if seen >= rank:
                     if index < len(self._bounds):
-                        return self._bounds[index]
+                        return min(self._bounds[index], self._max)
                     return self._max
             return self._max
 

@@ -46,7 +46,6 @@ KNOWN_METHODS = ("crr", "bm2", "bm2-sparse", "uds", "random", "degree-proportion
 def make_shedder(
     method: str,
     seed: Optional[int] = 0,
-    engine: str = "array",
     num_sources: Optional[int] = None,
     sparsify: Optional[str] = None,
     sparsify_beta: Optional[int] = None,
@@ -54,13 +53,12 @@ def make_shedder(
 ) -> EdgeShedder:
     """Build the shedder for a method key.
 
-    ``engine`` selects the array/legacy implementation for CRR, BM2 and UDS;
     ``num_sources`` switches CRR/UDS to sampled betweenness.  ``sparsify`` /
     ``sparsify_beta`` configure BM2's EDCS candidate pruning (``bm2``
     defaults to ``"off"``, ``bm2-sparse`` to ``"edcs"``; setting them on any
     other method is an error).  ``weighted`` swaps CRR/BM2 for their
-    probability-aware :mod:`repro.uncertain` variants (array engine only;
-    other methods have no weighted form).  Raises :class:`ServiceError`
+    probability-aware :mod:`repro.uncertain` variants (other methods have
+    no weighted form).  Raises :class:`ServiceError`
     for unknown keys.
     """
     method = method.lower()
@@ -69,10 +67,6 @@ def make_shedder(
     ):
         raise ServiceError(f"sparsify options require bm2/bm2-sparse, got {method!r}")
     if weighted:
-        if engine != "array":
-            raise ServiceError(
-                f"weighted shedding requires the array engine, got {engine!r}"
-            )
         if method == "crr":
             return WeightedCRRShedder(seed=seed, num_betweenness_sources=num_sources)
         if method == "bm2":
@@ -93,11 +87,10 @@ def make_shedder(
             f"unknown method {method!r} (expected one of {', '.join(KNOWN_METHODS)})"
         )
     if method == "crr":
-        return CRRShedder(seed=seed, engine=engine, num_betweenness_sources=num_sources)
+        return CRRShedder(seed=seed, num_betweenness_sources=num_sources)
     if method == "bm2":
         return BM2Shedder(
             seed=seed,
-            engine=engine,
             sparsify=sparsify if sparsify is not None else "off",
             sparsify_beta=sparsify_beta,
         )
@@ -105,14 +98,11 @@ def make_shedder(
         # The degradation ladder's middle rung: EDCS-pruned Phase 2.
         return BM2Shedder(
             seed=seed,
-            engine=engine,
             sparsify=sparsify if sparsify is not None else "edcs",
             sparsify_beta=sparsify_beta,
         )
     if method == "uds":
-        return UDSSummarizer(
-            seed=seed, engine=engine, num_betweenness_sources=num_sources
-        )
+        return UDSSummarizer(seed=seed, num_betweenness_sources=num_sources)
     if method == "random":
         return RandomShedder(seed=seed)
     if method == "degree-proportional":
@@ -165,7 +155,6 @@ class ReductionRequest:
     graph: Optional[Graph] = None
     graph_ref: Optional[str] = None
     seed: int = 0
-    engine: str = "array"
     num_sources: Optional[int] = None
     weighted: bool = False
     priority: int = 0
@@ -181,15 +170,8 @@ class ReductionRequest:
             raise ServiceError(f"p must be in (0, 1), got {self.p!r}")
         if self.method.lower() not in KNOWN_METHODS:
             raise ServiceError(f"unknown method {self.method!r}")
-        if self.weighted:
-            if self.method.lower() not in ("crr", "bm2", "bm2-sparse"):
-                raise ServiceError(
-                    f"method {self.method!r} has no weighted variant"
-                )
-            if self.engine != "array":
-                raise ServiceError(
-                    f"weighted shedding requires the array engine, got {self.engine!r}"
-                )
+        if self.weighted and self.method.lower() not in ("crr", "bm2", "bm2-sparse"):
+            raise ServiceError(f"method {self.method!r} has no weighted variant")
         if self.deadline_seconds is not None and self.deadline_seconds < 0:
             raise ServiceError(f"deadline_seconds must be >= 0, got {self.deadline_seconds}")
         if self.max_resident_edges is not None and self.max_resident_edges <= 0:

@@ -230,7 +230,7 @@ def _reduce_job(payload: Tuple) -> Tuple[np.ndarray, np.ndarray, float, float, D
     neighbour subsequences are preserved) — the property the array
     engines' bit-identity rests on.
     """
-    labels, u_ids, v_ids, edge_w, method, p, seed, engine, num_sources, weighted = payload
+    labels, u_ids, v_ids, edge_w, method, p, seed, num_sources, weighted = payload
     graph = Graph(nodes=labels)
     if edge_w is None:
         for i, j in zip(u_ids.tolist(), v_ids.tolist()):
@@ -238,9 +238,7 @@ def _reduce_job(payload: Tuple) -> Tuple[np.ndarray, np.ndarray, float, float, D
     else:
         for i, j, w in zip(u_ids.tolist(), v_ids.tolist(), edge_w.tolist()):
             graph.add_edge(labels[i], labels[j], weight=w)
-    shedder = make_shedder(
-        method, seed=seed, engine=engine, num_sources=num_sources, weighted=weighted
-    )
+    shedder = make_shedder(method, seed=seed, num_sources=num_sources, weighted=weighted)
     result = shedder.reduce(graph, p)
     index_of = {node: idx for idx, node in enumerate(labels)}
     reduced_edges = list(result.reduced.edges())
@@ -289,7 +287,6 @@ class ProcessEngine:
         method: str,
         p: float,
         seed: Optional[int],
-        engine: str = "array",
         num_sources: Optional[int] = None,
         timeout: Optional[float] = None,
         weighted: bool = False,
@@ -302,8 +299,7 @@ class ProcessEngine:
         # additionally selects the probability-aware shedder.
         edge_w = csr.edge_weights_for(u_ids, v_ids) if csr.is_weighted else None
         payload = (
-            csr.labels, u_ids, v_ids, edge_w, method, p, seed, engine,
-            num_sources, weighted,
+            csr.labels, u_ids, v_ids, edge_w, method, p, seed, num_sources, weighted,
         )
         task = self._ensure_pool().apply_async(_reduce_job, (payload,))
         try:

@@ -48,6 +48,11 @@ __all__ = ["ArtifactKey", "ArtifactStore", "graph_digest"]
 #: with a different version rather than guessing.
 ARTIFACT_FORMAT_VERSION = 1
 
+#: The engine name artifact documents written by earlier versions carry in
+#: their key, and the fixed slot every token hashes — so existing cache
+#: directories keep their file names and keep serving hits.
+_PERSISTED_ENGINE = "array"
+
 #: Node label types that survive a JSON round-trip unchanged.
 _JSONABLE_LABELS = (int, str)
 
@@ -102,7 +107,6 @@ class ArtifactKey:
     method: str
     p: float
     seed: Optional[int]
-    engine: str = "array"
     variant: str = ""
 
     @property
@@ -114,7 +118,7 @@ class ArtifactKey:
                 self.method.lower(),
                 repr(float(self.p)),
                 repr(self.seed),
-                self.engine,
+                _PERSISTED_ENGINE,
                 self.variant,
             )
         )
@@ -180,7 +184,6 @@ class ArtifactStore:
         method: str,
         p: float,
         seed: Optional[int],
-        engine: str = "array",
         variant: str = "",
     ) -> ArtifactKey:
         """Build the content-addressed key for one reduction request."""
@@ -189,7 +192,6 @@ class ArtifactStore:
             method=method.lower(),
             p=float(p),
             seed=seed,
-            engine=engine,
             variant=variant,
         )
 
@@ -272,7 +274,6 @@ class ArtifactStore:
         p: float,
         seed: Optional[int],
         compute: Callable[[], ReductionResult],
-        engine: str = "array",
         variant: str = "",
     ) -> Tuple[ReductionResult, Optional[str]]:
         """Memoised reduction: returns ``(result, hit)``.
@@ -280,7 +281,7 @@ class ArtifactStore:
         ``hit`` is ``"memory"``, ``"disk"``, or ``None`` when ``compute``
         actually ran (also counted in ``stats["computes"]``).
         """
-        key = self.key_for(graph, method, p, seed, engine=engine, variant=variant)
+        key = self.key_for(graph, method, p, seed, variant=variant)
         cached, hit = self.get_with_tier(key, graph)
         if cached is not None:
             return cached, hit
@@ -403,7 +404,6 @@ class ArtifactStore:
                 "method": key.method,
                 "p": key.p,
                 "seed": key.seed,
-                "engine": key.engine,
                 "variant": key.variant,
             },
             "meta": {
@@ -461,12 +461,15 @@ class ArtifactStore:
                 if document.get("format_version") != ARTIFACT_FORMAT_VERSION:
                     continue
                 raw = document["key"]
+                # A document recorded by any other engine holds an oracle's
+                # result (UDS's is only statistically equivalent): refuse it.
+                if raw.get("engine", _PERSISTED_ENGINE) != _PERSISTED_ENGINE:
+                    raise ServiceError(f"{path}: recorded by engine {raw['engine']!r}")
                 key = ArtifactKey(
                     graph_digest=raw["graph_digest"],
                     method=raw["method"],
                     p=float(raw["p"]),
                     seed=raw["seed"],
-                    engine=raw.get("engine", "array"),
                     variant=raw.get("variant", ""),
                 )
                 self._disk_index[key] = path

@@ -85,7 +85,6 @@ class SessionConfig:
         method: offline method seeding the reduction (and used by
             drift-triggered rebuilds) — any :data:`~repro.service.KNOWN_METHODS`
             key.
-        engine: engine for the seed shedder where the method has one.
         seed: routed to the maintainer's reservoir; seeded sessions
             replay identically.
         repair: :class:`~repro.dynamic.RepairConfig` for localized repair,
@@ -110,7 +109,6 @@ class SessionConfig:
 
     p: float
     method: str = "bm2"
-    engine: str = "array"
     seed: int = 0
     repair: Optional[RepairConfig] = RepairConfig()
     drift_ratio: float = 1.0
@@ -403,7 +401,6 @@ class StreamSession:
             result.method,
             self.config.p,
             self.config.seed,
-            engine="array",
             variant=f"session={self.session_id},ops={result.stats['ops']}",
         )
         store.put(key, result)

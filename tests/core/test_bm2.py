@@ -1,16 +1,20 @@
 """Tests for the BM2 shedder (Algorithms 2 and 3)."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
+    ArrayDegreeTracker,
     BM2Shedder,
-    DegreeTracker,
     bm2_bound_for_graph,
-    bipartite_repair,
+    bipartite_repair_ids,
     compute_delta,
 )
 from repro.errors import InvalidRatioError, ReductionError
 from repro.graph import Graph, is_b_matching
+
+from tests.oracles.bm2 import LegacyBM2Shedder
+from tests.oracles.matching import greedy_b_matching
 
 
 class TestBM2PaperExample:
@@ -60,7 +64,6 @@ class TestBM2Invariants:
 
     def test_phase1_is_valid_b_matching(self, small_powerlaw):
         from repro.core.discrepancy import round_half_up
-        from repro.graph.matching import greedy_b_matching
 
         p = 0.5
         capacities = {
@@ -73,7 +76,6 @@ class TestBM2Invariants:
     def test_repair_never_worsens_delta(self, small_powerlaw):
         """Phase 2 only adds gain >= 0 edges, so it cannot increase Δ."""
         from repro.core.discrepancy import round_half_up
-        from repro.graph.matching import greedy_b_matching
 
         p = 0.45
         capacities = {
@@ -135,56 +137,67 @@ class TestBM2Engines:
     )
 
     def test_invalid_engine(self):
-        with pytest.raises(ValueError):
+        # One engine per algorithm: the removed selector is rejected, not ignored.
+        with pytest.raises(TypeError):
             BM2Shedder(engine="gpu")
 
     @pytest.mark.parametrize("p", [0.25, 0.4, 0.5, 0.65])
     def test_engines_produce_identical_reductions(self, small_powerlaw, p):
-        legacy = BM2Shedder(seed=1, engine="legacy").reduce(small_powerlaw, p)
-        array = BM2Shedder(seed=1, engine="array").reduce(small_powerlaw, p)
+        legacy = LegacyBM2Shedder(seed=1).reduce(small_powerlaw, p)
+        array = BM2Shedder(seed=1).reduce(small_powerlaw, p)
         assert array.reduced == legacy.reduced
         for key in self._STAT_KEYS:
             assert array.stats[key] == legacy.stats[key]
         assert array.delta == pytest.approx(legacy.delta, abs=1e-9)
 
     def test_engines_agree_with_shuffled_scan(self, small_powerlaw):
-        legacy = BM2Shedder(seed=6, shuffle_edges=True, engine="legacy").reduce(
+        legacy = LegacyBM2Shedder(seed=6, shuffle_edges=True).reduce(
             small_powerlaw, 0.5
         )
-        array = BM2Shedder(seed=6, shuffle_edges=True, engine="array").reduce(
-            small_powerlaw, 0.5
-        )
+        array = BM2Shedder(seed=6, shuffle_edges=True).reduce(small_powerlaw, 0.5)
         assert array.reduced == legacy.reduced
         for key in self._STAT_KEYS:
             assert array.stats[key] == legacy.stats[key]
 
     @pytest.mark.parametrize("rounding", ["half_up", "half_even", "floor", "ceil"])
     def test_engines_agree_on_every_rounding_rule(self, small_powerlaw, rounding):
-        legacy = BM2Shedder(rounding=rounding, engine="legacy").reduce(small_powerlaw, 0.45)
-        array = BM2Shedder(rounding=rounding, engine="array").reduce(small_powerlaw, 0.45)
+        legacy = LegacyBM2Shedder(rounding=rounding).reduce(small_powerlaw, 0.45)
+        array = BM2Shedder(rounding=rounding).reduce(small_powerlaw, 0.45)
         assert array.reduced == legacy.reduced
 
     def test_engines_agree_with_zero_gain_edges(self, figure1):
-        legacy = BM2Shedder(accept_zero_gain=True, engine="legacy").reduce(figure1, 0.4)
-        array = BM2Shedder(accept_zero_gain=True, engine="array").reduce(figure1, 0.4)
+        legacy = LegacyBM2Shedder(accept_zero_gain=True).reduce(figure1, 0.4)
+        array = BM2Shedder(accept_zero_gain=True).reduce(figure1, 0.4)
         assert array.reduced == legacy.reduced
 
     def test_legacy_engine_matches_paper_example(self, figure1):
-        result = BM2Shedder(seed=0, engine="legacy").reduce(figure1, 0.4)
+        result = LegacyBM2Shedder(seed=0).reduce(figure1, 0.4)
         assert result.delta == pytest.approx(4.4)
         assert result.stats["matched_edges"] == 2
 
-    @pytest.mark.parametrize("engine", ["array", "legacy"])
-    def test_phase_timings_recorded(self, small_powerlaw, engine):
-        result = BM2Shedder(engine=engine).reduce(small_powerlaw, 0.5)
-        assert result.stats["engine"] == engine
+    @pytest.mark.parametrize(
+        "shedder",
+        [pytest.param(BM2Shedder, id="array"), pytest.param(LegacyBM2Shedder, id="legacy")],
+    )
+    def test_phase_timings_recorded(self, small_powerlaw, shedder):
+        result = shedder().reduce(small_powerlaw, 0.5)
         assert result.stats["phase1_seconds"] >= 0.0
         assert result.stats["phase2_seconds"] >= 0.0
 
 
+def bipartite_repair(tracker, candidates):
+    """:func:`bipartite_repair_ids` over label-keyed candidate pairs."""
+    csr = tracker._csr
+    cand_a = np.array([csr.index_of[a] for a, _ in candidates], dtype=np.int64)
+    cand_b = np.array([csr.index_of[b] for _, b in candidates], dtype=np.int64)
+    sel_a, sel_b = bipartite_repair_ids(tracker, cand_a, cand_b)
+    labels = csr.labels
+    return [(labels[a], labels[b]) for a, b in zip(sel_a.tolist(), sel_b.tolist())]
+
+
 class TestBipartiteRepair:
     def _tracker(self, graph, p, matched):
-        tracker = DegreeTracker(graph, p)
+        tracker = ArrayDegreeTracker(graph, p)
         for edge in matched:
             tracker.add_edge(*edge)
         return tracker
@@ -217,7 +230,7 @@ class TestBipartiteRepair:
 
     def test_b_node_used_at_most_once(self, star4):
         # a = hub deficit; every leaf is a B candidate
-        tracker = DegreeTracker(star4, 0.6)
+        tracker = ArrayDegreeTracker(star4, 0.6)
         candidates = [(0, leaf) for leaf in (1, 2, 3, 4)]
         selected = bipartite_repair(tracker, candidates)
         used_b = [b for _, b in selected]

@@ -1,11 +1,13 @@
-"""Tests for the DegreeTracker / ArrayDegreeTracker and Δ computation."""
+"""Tests for the ArrayDegreeTracker (and its dict oracle) and Δ computation."""
 
 import numpy as np
 import pytest
 
-from repro.core import ArrayDegreeTracker, DegreeTracker, compute_delta, round_half_up
+from repro.core import ArrayDegreeTracker, compute_delta, round_half_up
 from repro.errors import EdgeNotFoundError, InvalidRatioError, ReductionError
 from repro.graph import Graph
+
+from tests.oracles.tracker import DegreeTracker, ids_view
 
 
 @pytest.fixture(params=[DegreeTracker, ArrayDegreeTracker], ids=["dict", "array"])
@@ -300,7 +302,7 @@ class TestArrayTracker:
 
     def test_ids_view_proxies_tracker(self, figure1):
         tracker = ArrayDegreeTracker(figure1, 0.4)
-        view = tracker.ids_view()
+        view = ids_view(tracker)
         u7, u9 = self._ids(tracker, "u7", "u9")
         assert view.dis(u7) == tracker.dis("u7")
         view.add_edge(u7, u9)

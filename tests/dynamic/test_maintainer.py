@@ -159,9 +159,9 @@ class TestRebuild:
         assert shed.delta == 0.0
 
     def test_custom_rebuild_shedder_used(self, small_er):
-        legacy = BM2Shedder(engine="legacy")
+        sparse = BM2Shedder(sparsify="edcs")
         shed = IncrementalShedder(
-            small_er, 0.5, rebuild_shedder=legacy, seed=0
+            small_er, 0.5, rebuild_shedder=sparse, seed=0
         )
         shed.rebuild()
         assert shed.delta == compute_delta(shed.graph, shed.reduced, 0.5)

@@ -1,10 +1,11 @@
 """Statistical behaviour of random walks (distributional checks).
 
-Includes the engine-equivalence suite: the batched engine and the legacy
-scalar walker consume the RNG differently, so they cannot be bitwise
-compared — instead their empirical transition frequencies (first-order
-for uniform walks, second-order ``P(next | prev, current)`` for biased
-walks) must agree within sampling tolerance.
+Includes the oracle-equivalence suite: the batched walker and the legacy
+scalar walker (``tests/oracles/embedding.py``) consume the RNG
+differently, so they cannot be bitwise compared — instead their
+empirical transition frequencies (first-order for uniform walks,
+second-order ``P(next | prev, current)`` for biased walks) must agree
+within sampling tolerance.
 """
 
 from collections import Counter, defaultdict
@@ -13,6 +14,8 @@ import pytest
 
 from repro.embedding import generate_walks
 from repro.graph import CSRAdjacency, Graph, powerlaw_cluster, star_graph
+
+from tests.oracles.embedding import _legacy_generate_walks
 
 
 class TestWalkStatistics:
@@ -111,8 +114,8 @@ class TestEngineEquivalence:
 
     def test_uniform_transition_frequencies_agree(self, graph):
         kwargs = dict(num_walks=150, walk_length=20)
-        batched = generate_walks(graph, seed=0, engine="batched", **kwargs)
-        legacy = generate_walks(graph, seed=1, engine="legacy", **kwargs)
+        batched = generate_walks(graph, seed=0, **kwargs)
+        legacy = _legacy_generate_walks(graph, seed=1, **kwargs)
         diff = _max_share_difference(
             _first_order_frequencies(batched, min_count=100),
             _first_order_frequencies(legacy, min_count=100),
@@ -124,8 +127,8 @@ class TestEngineEquivalence:
         biased step (return / common neighbour / outward) carries a
         distinct weight, so a wrong weight shows up as a shifted share."""
         kwargs = dict(num_walks=150, walk_length=20, p=0.25, q=4.0)
-        batched = generate_walks(graph, seed=0, engine="batched", **kwargs)
-        legacy = generate_walks(graph, seed=1, engine="legacy", **kwargs)
+        batched = generate_walks(graph, seed=0, **kwargs)
+        legacy = _legacy_generate_walks(graph, seed=1, **kwargs)
         diff = _max_share_difference(
             _second_order_frequencies(batched, min_count=300),
             _second_order_frequencies(legacy, min_count=300),
@@ -136,8 +139,8 @@ class TestEngineEquivalence:
         """Two independent batched samples differ by no more than the
         engines do — the cross-engine tolerance is not hiding a bias."""
         kwargs = dict(num_walks=150, walk_length=20, p=0.25, q=4.0)
-        first = generate_walks(graph, seed=2, engine="batched", **kwargs)
-        second = generate_walks(graph, seed=3, engine="batched", **kwargs)
+        first = generate_walks(graph, seed=2, **kwargs)
+        second = generate_walks(graph, seed=3, **kwargs)
         diff = _max_share_difference(
             _second_order_frequencies(first, min_count=300),
             _second_order_frequencies(second, min_count=300),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import EdgeNotFoundError, NodeNotFoundError, SelfLoopError
+from repro.errors import EdgeNotFoundError, GraphError, NodeNotFoundError, SelfLoopError
 from repro.graph import Graph
 
 
@@ -80,6 +80,30 @@ class TestAddRemove:
     def test_remove_missing_node_raises(self):
         with pytest.raises(NodeNotFoundError):
             Graph().remove_node(1)
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestWeightValidation:
+    @pytest.mark.parametrize("weight", NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_add_edge_rejects_non_finite_weight(self, weight):
+        g = Graph(edges=[(0, 1)])
+        with pytest.raises(GraphError):
+            g.add_edge(1, 2, weight=weight)
+        # Rejected before any mutation: no endpoint, no edge, no weights.
+        assert g == Graph(edges=[(0, 1)])
+        assert not g.is_weighted
+
+    @pytest.mark.parametrize("weight", NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_set_edge_weight_rejects_non_finite_weight(self, weight):
+        g = Graph()
+        g.add_edge(1, 2, weight=0.5)
+        with pytest.raises(GraphError):
+            g.set_edge_weight(1, 2, weight)
+        with pytest.raises(GraphError):
+            g.add_edge(1, 2, weight=weight)  # re-add routes through the setter
+        assert g.edge_weight(1, 2) == 0.5
 
 
 class TestInspection:

@@ -1,5 +1,7 @@
 """Tests for graph I/O."""
 
+import json
+
 import pytest
 
 from repro.errors import GraphError
@@ -11,6 +13,7 @@ from repro.graph import (
     write_edge_list,
     write_json,
 )
+from repro.graph.io import graph_from_payload
 
 
 class TestEdgeList:
@@ -124,3 +127,11 @@ class TestJSON:
         path.write_text('{"nodes": [1, 2], "edges": [[1, 2, 3]]}')
         with pytest.raises(GraphError):
             read_json(path)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_payload_weight_rejected(self, token):
+        payload = json.loads(
+            '{"nodes": [1, 2, 3], "edges": [[1, 2], [2, 3]], "weights": [0.5, %s]}' % token
+        )
+        with pytest.raises(GraphError, match="finite"):
+            graph_from_payload(payload)

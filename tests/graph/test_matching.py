@@ -1,4 +1,4 @@
-"""Tests for greedy b-matching."""
+"""Tests for greedy b-matching (the id scan and its oracles)."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,17 @@ import pytest
 from repro.errors import GraphError
 from repro.graph import (
     Graph,
-    greedy_b_matching,
     greedy_b_matching_ids,
     is_b_matching,
     is_maximal_b_matching,
     paper_figure1_graph,
     star_graph,
+)
+
+from tests.oracles.matching import (
+    blocked_b_matching_ids,
+    fixpoint_b_matching_ids,
+    greedy_b_matching,
 )
 
 
@@ -126,9 +131,9 @@ class TestGreedyBMatchingIds:
         rng = np.random.default_rng(7)
         capacities = {node: int(rng.integers(0, 4)) for node in g.nodes()}
         _, edge_u, edge_v, caps = _id_arrays(g, capacities)
-        baseline = greedy_b_matching_ids(edge_u, edge_v, caps, max_rounds=0)
+        baseline = greedy_b_matching_ids(edge_u, edge_v, caps)
         np.testing.assert_array_equal(
-            greedy_b_matching_ids(edge_u, edge_v, caps, max_rounds=max_rounds),
+            fixpoint_b_matching_ids(edge_u, edge_v, caps, max_rounds=max_rounds),
             baseline,
         )
 
@@ -155,7 +160,7 @@ class TestValidity:
 
 
 class TestBlockedAdmission:
-    """The block-admission path must replay the sequential greedy scan."""
+    """The block-admission schedule must replay the sequential greedy scan."""
 
     def _case(self, seed):
         from repro.graph import erdos_renyi
@@ -169,17 +174,8 @@ class TestBlockedAdmission:
     def test_matches_sequential_scan(self, block_size):
         for seed in range(4):
             _, edge_u, edge_v, caps = self._case(seed)
-            baseline = greedy_b_matching_ids(edge_u, edge_v, caps, max_rounds=0)
+            baseline = greedy_b_matching_ids(edge_u, edge_v, caps)
             np.testing.assert_array_equal(
-                greedy_b_matching_ids(
-                    edge_u, edge_v, caps, max_rounds=0, block_size=block_size
-                ),
+                blocked_b_matching_ids(edge_u, edge_v, caps, block_size=block_size),
                 baseline,
             )
-
-    def test_zero_block_size_is_sequential(self, k5):
-        csr, edge_u, edge_v, caps = _id_arrays(k5, dict.fromkeys(k5.nodes(), 2))
-        np.testing.assert_array_equal(
-            greedy_b_matching_ids(edge_u, edge_v, caps, block_size=0),
-            greedy_b_matching_ids(edge_u, edge_v, caps),
-        )

@@ -25,6 +25,8 @@ from repro.graph import Graph
 from repro.graph.generators import powerlaw_cluster
 from repro.shard import ShardedShedder
 
+from tests.oracles.bm2 import HeapBM2Shedder
+
 _RATIOS = [0.3, 0.5, 0.7]
 
 
@@ -82,12 +84,8 @@ def test_uncapped_edcs_is_a_noop(scenario):
 def test_bucket_repair_replays_heap_oracle(scenario, beta):
     g, p = scenario
     for sparsify in ("off", "edcs"):
-        bucket = BM2Shedder(
-            seed=0, sparsify=sparsify, sparsify_beta=beta, repair="bucket"
-        ).reduce(g, p)
-        heap = BM2Shedder(
-            seed=0, sparsify=sparsify, sparsify_beta=beta, repair="heap"
-        ).reduce(g, p)
+        bucket = BM2Shedder(seed=0, sparsify=sparsify, sparsify_beta=beta).reduce(g, p)
+        heap = HeapBM2Shedder(seed=0, sparsify=sparsify, sparsify_beta=beta).reduce(g, p)
         assert _edges(bucket) == _edges(heap)
         assert bucket.delta == heap.delta
         assert bucket.stats["repair_engine"] == "bucket"

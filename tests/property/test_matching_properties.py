@@ -6,11 +6,12 @@ from hypothesis import given, settings
 
 from repro.graph import (
     Graph,
-    greedy_b_matching,
     greedy_b_matching_ids,
     is_b_matching,
     is_maximal_b_matching,
 )
+
+from tests.oracles.matching import fixpoint_b_matching_ids, greedy_b_matching
 
 
 @st.composite
@@ -59,13 +60,18 @@ def test_shuffled_scan_still_valid_and_maximal(gc, seed):
 @given(graph_and_capacities(), st.sampled_from([0, 1, 64]))
 @settings(max_examples=60, deadline=None)
 def test_ids_scan_matches_label_scan(gc, max_rounds):
-    """greedy_b_matching_ids keeps exactly the label scan's edges, for any
-    max_rounds (the fixpoint rounds plus scalar finish are exact)."""
+    """greedy_b_matching_ids keeps exactly the label scan's edges, and so
+    does the fixpoint schedule for any max_rounds (the fixpoint rounds plus
+    scalar finish are exact)."""
     g, capacities = gc
     csr = g.csr()
     edge_u, edge_v = csr.edge_list_ids()
     caps = np.array([capacities[node] for node in csr.labels], dtype=np.int64)
-    kept = greedy_b_matching_ids(edge_u, edge_v, caps, max_rounds=max_rounds)
+    kept = greedy_b_matching_ids(edge_u, edge_v, caps)
+    if max_rounds:
+        np.testing.assert_array_equal(
+            fixpoint_b_matching_ids(edge_u, edge_v, caps, max_rounds=max_rounds), kept
+        )
     labels = csr.labels
     from_ids = [
         (labels[u], labels[v])

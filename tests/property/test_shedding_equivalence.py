@@ -1,9 +1,9 @@
 """Property tests pinning the array shedding engines to their scalar oracles.
 
-The dict-based :class:`DegreeTracker` and the ``engine="legacy"`` code paths
-of CRR/BM2 are the reference semantics; :class:`ArrayDegreeTracker` and the
-``engine="array"`` paths must replay them — identical ``dis`` per node
-(bitwise), ``Δ`` within float-association noise, and identical reduced
+The dict-based :class:`DegreeTracker` and the scalar CRR/BM2 shedders in
+``tests/oracles/`` are the reference semantics; :class:`ArrayDegreeTracker`
+and ``CRRShedder``/``BM2Shedder`` must replay them — identical ``dis`` per
+node (bitwise), ``Δ`` within float-association noise, and identical reduced
 graphs under the same seed.
 """
 
@@ -12,8 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core import ArrayDegreeTracker, BM2Shedder, CRRShedder, DegreeTracker
+from repro.core import ArrayDegreeTracker, BM2Shedder, CRRShedder
 from repro.graph import Graph
+
+from tests.oracles.bm2 import LegacyBM2Shedder
+from tests.oracles.crr import LegacyCRRShedder
+from tests.oracles.tracker import DegreeTracker
 
 _RATIOS = [0.25, 0.4, 0.5, 0.6, 0.75]
 
@@ -115,8 +119,8 @@ def test_bulk_add_matches_scalar_adds(scenario, subset_bits):
 @settings(max_examples=25, deadline=None)
 def test_crr_engines_agree_end_to_end(scenario, seed):
     g, p = scenario
-    legacy = CRRShedder(seed=seed, engine="legacy").reduce(g, p)
-    array = CRRShedder(seed=seed, engine="array").reduce(g, p)
+    legacy = LegacyCRRShedder(seed=seed).reduce(g, p)
+    array = CRRShedder(seed=seed).reduce(g, p)
     assert array.reduced == legacy.reduced
     assert array.stats["accepted_swaps"] == legacy.stats["accepted_swaps"]
     assert array.stats["attempted_swaps"] == legacy.stats["attempted_swaps"]
@@ -131,12 +135,9 @@ def test_crr_engines_agree_end_to_end(scenario, seed):
 @settings(max_examples=25, deadline=None)
 def test_bm2_engines_agree_end_to_end(scenario, shuffle, rounding):
     g, p = scenario
-    legacy = BM2Shedder(
-        seed=11, shuffle_edges=shuffle, rounding=rounding, engine="legacy"
-    ).reduce(g, p)
-    array = BM2Shedder(
-        seed=11, shuffle_edges=shuffle, rounding=rounding, engine="array"
-    ).reduce(g, p)
+    options = dict(seed=11, shuffle_edges=shuffle, rounding=rounding)
+    legacy = LegacyBM2Shedder(**options).reduce(g, p)
+    array = BM2Shedder(**options).reduce(g, p)
     assert array.reduced == legacy.reduced
     assert array.stats["matched_edges"] == legacy.stats["matched_edges"]
     assert array.stats["repair_edges"] == legacy.stats["repair_edges"]

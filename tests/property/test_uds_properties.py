@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from repro.baselines import UDSSummarizer
 from repro.graph import Graph
 
+from tests.oracles.uds import LegacyUDSSummarizer
+
 
 @st.composite
 def connected_ish_graphs(draw):
@@ -34,13 +36,13 @@ ratios = st.sampled_from([0.2, 0.5, 0.8])
 seeds = st.integers(0, 2**31 - 1)
 
 
-engines = st.sampled_from(["array", "legacy"])
+engines = st.sampled_from([UDSSummarizer, LegacyUDSSummarizer])
 
 
 @given(connected_ish_graphs(), ratios, seeds, engines)
 @settings(max_examples=25, deadline=None)
 def test_utility_threshold_respected(g, p, seed, engine):
-    result = UDSSummarizer(seed=seed, engine=engine).reduce(g, p)
+    result = engine(seed=seed).reduce(g, p)
     assert result.stats["final_utility"] >= p - 1e-9
 
 

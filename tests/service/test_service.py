@@ -308,15 +308,6 @@ class TestShardedMode:
         assert "num_shards" not in result.metadata
         assert "num_shards" not in result.reduction.stats
 
-    def test_legacy_engine_requests_bypass_sharding(self, graph):
-        # engine="legacy" is an explicit ask for the scalar oracle.
-        with SheddingService(mode="sharded", num_workers=2, num_shards=2) as service:
-            result = service.submit(
-                ReductionRequest(graph=graph, method="bm2", p=0.5, seed=3, engine="legacy")
-            ).result(timeout=60)
-        assert result.status is JobStatus.COMPLETED
-        assert "num_shards" not in result.metadata
-
     def test_sharded_artifacts_do_not_poison_unsharded_cache(self, graph, tmp_path):
         """A sharded run and a whole-graph run of the same request are
         different artifacts and must occupy different cache entries."""

@@ -57,7 +57,18 @@ class TestHistogram:
             h.observe(0.05)
         h.observe(5.0)
         assert h.quantile(0.5) == 0.1
-        assert h.quantile(1.0) == 10.0
+        # The 5.0 observation's bucket bound (10.0) is capped at the max.
+        assert h.quantile(1.0) == 5.0
+
+    def test_quantile_stays_within_observed_range(self):
+        """One 90.6 µs observation: every quantile is that observation, not
+        the 100 µs upper bound of its default bucket."""
+        h = Histogram("latency")
+        h.observe(90.6e-6)
+        snap = h.snapshot()
+        for key in ("p50", "p90", "p99"):
+            assert snap["min"] <= snap[key] <= snap["max"]
+            assert snap[key] == pytest.approx(90.6e-6)
 
     def test_overflow_bucket_reports_exact_max(self):
         h = Histogram("latency", bounds=(0.1,))

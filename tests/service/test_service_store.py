@@ -206,3 +206,48 @@ class TestDiskTier:
         path.write_text(json.dumps(document))
         fresh = ArtifactStore(persist_dir=tmp_path)
         assert key not in fresh
+
+
+class TestCachesWrittenWithEngineKeys:
+    """Artifact documents persisted while an ``engine`` was part of the key.
+
+    Those documents carry ``"engine"`` in their key; the only engine left
+    is the array engine, so its documents must keep serving disk hits
+    under the same file token, and any other engine's must be refused.
+    """
+
+    def _persist_with_engine(self, graph, tmp_path, engine):
+        store = ArtifactStore(persist_dir=tmp_path)
+        key = store.key_for(graph, "bm2", 0.5, 0)
+        store.put(key, _reduce(graph))
+        path = tmp_path / f"{key.token}.json"
+        document = json.loads(path.read_text())
+        document["key"]["engine"] = engine
+        path.write_text(json.dumps(document))
+        return key
+
+    def test_token_unchanged_without_engine_field(self):
+        # Tokens hashed with the engine slot set to "array" name the files
+        # of existing cache directories.
+        assert ArtifactKey("abc", "bm2", 0.5, 0).token == "7b71a5083640d36db2d89597e46567e7"
+        assert (
+            ArtifactKey("abc", "crr", 0.25, None, variant="sources=8").token
+            == "b919d9d9a55195691e8ddd5358446e9f"
+        )
+
+    def test_array_engine_documents_served_as_disk_hits(self, graph, tmp_path):
+        key = self._persist_with_engine(graph, tmp_path, "array")
+        fresh = ArtifactStore(persist_dir=tmp_path)
+        assert key in fresh
+        loaded, hit = fresh.get_with_tier(key, graph)
+        assert hit == "disk"
+        assert loaded.reduced == _reduce(graph).reduced
+        assert fresh.stats["load_errors"] == 0
+
+    def test_other_engine_documents_skipped_and_counted(self, graph, tmp_path):
+        key = self._persist_with_engine(graph, tmp_path, "legacy")
+        fresh = ArtifactStore(persist_dir=tmp_path)
+        assert key not in fresh
+        assert fresh.stats["load_errors"] == 1
+        assert fresh.get(key, graph) is None
+        assert fresh.stats["disk_hits"] == 0

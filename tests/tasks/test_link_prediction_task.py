@@ -6,6 +6,8 @@ from repro.core import BM2Shedder
 from repro.graph import Graph, star_graph, stochastic_block_model
 from repro.tasks import LinkPredictionTask, two_hop_pairs
 
+from tests.oracles.embedding import LegacyLinkPredictionTask
+
 
 class TestTwoHopPairs:
     def test_star_pairs(self):
@@ -91,9 +93,9 @@ class TestEngineParity:
     def reduction(self, sbm):
         return BM2Shedder(seed=0).reduce(sbm, 0.6)
 
-    def _mean_utility(self, sbm, reduction, engine, **kwargs):
+    def _mean_utility(self, sbm, reduction, task, **kwargs):
         utilities = [
-            LinkPredictionTask(seed=seed, engine=engine, **kwargs)
+            task(seed=seed, **kwargs)
             .evaluate(sbm, reduction)
             .utility
             for seed in range(4)
@@ -102,15 +104,15 @@ class TestEngineParity:
 
     def test_engine_utilities_agree(self, sbm, reduction):
         params = dict(num_walks=4, walk_length=12)
-        batched = self._mean_utility(sbm, reduction, "batched", **params)
-        legacy = self._mean_utility(sbm, reduction, "legacy", **params)
+        batched = self._mean_utility(sbm, reduction, LinkPredictionTask, **params)
+        legacy = self._mean_utility(sbm, reduction, LegacyLinkPredictionTask, **params)
         assert batched == pytest.approx(legacy, abs=0.12)
 
     @pytest.mark.slow
     def test_engine_utilities_agree_high_budget(self, sbm, reduction):
         params = dict(num_walks=8, walk_length=20, epochs=3)
-        batched = self._mean_utility(sbm, reduction, "batched", **params)
-        legacy = self._mean_utility(sbm, reduction, "legacy", **params)
+        batched = self._mean_utility(sbm, reduction, LinkPredictionTask, **params)
+        legacy = self._mean_utility(sbm, reduction, LegacyLinkPredictionTask, **params)
         assert batched == pytest.approx(legacy, abs=0.1)
 
     def test_workers_give_identical_artifact(self, sbm):

@@ -104,3 +104,75 @@ class TestErrorHierarchy:
 
         with pytest.raises(ReproError):
             BM2Shedder().reduce(figure1, 5.0)
+
+
+class TestOneEnginePerAlgorithm:
+    """Each algorithm has one engine; the scalar oracles live in tests/oracles.
+
+    Removed from the public surface: ``repro.DegreeTracker`` and
+    ``repro.core.DegreeTracker`` (the dict tracker), ``repro.core.bipartite_repair``
+    (the heap Algorithm 3) and ``repro.graph.greedy_b_matching`` (the dict
+    scan), together with every ``engine=``/``repair=`` selector, the
+    ``max_rounds=``/``block_size=`` b-matching variants and CRR's
+    ``skip_ranking=`` shorthand for ``importance="random"``.
+    """
+
+    REMOVED_NAMES = {
+        "repro": ["DegreeTracker"],
+        "repro.core": ["DegreeTracker", "bipartite_repair"],
+        "repro.graph": ["greedy_b_matching"],
+    }
+    SELECTORS = {"engine", "repair", "max_rounds", "block_size", "skip_ranking"}
+
+    @pytest.mark.parametrize("module_name", sorted(REMOVED_NAMES))
+    def test_removed_names_are_gone(self, module_name):
+        module = importlib.import_module(module_name)
+        for name in self.REMOVED_NAMES[module_name]:
+            assert name not in module.__all__
+            assert not hasattr(module, name)
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            "repro.core.crr:CRRShedder",
+            "repro.core.bm2:BM2Shedder",
+            "repro.core.bm2:bipartite_repair_ids",
+            "repro.core.bm2:bm2_reduce_ids",
+            "repro.baselines.uds:UDSSummarizer",
+            "repro.graph.communities:label_propagation",
+            "repro.graph.matching:greedy_b_matching_ids",
+            "repro.embedding.walks:generate_walks",
+            "repro.embedding.node2vec:node2vec_embed",
+            "repro.embedding.skipgram:train_skipgram",
+            "repro.tasks.link_prediction:LinkPredictionTask",
+            "repro.shard.runner:ShardedShedder",
+            "repro.service.request:make_shedder",
+            "repro.service.request:ReductionRequest",
+            "repro.service.store:ArtifactKey",
+            "repro.service.store:ArtifactStore.key_for",
+            "repro.service.store:ArtifactStore.get_or_compute",
+            "repro.service.scheduler:ProcessEngine.execute",
+        ],
+    )
+    def test_no_engine_selectors(self, target):
+        import inspect
+
+        module_name, _, path = target.partition(":")
+        obj = importlib.import_module(module_name)
+        for attr in path.split("."):
+            obj = getattr(obj, attr)
+        assert not self.SELECTORS & set(inspect.signature(obj).parameters)
+
+    def test_session_config_has_no_engine(self):
+        import dataclasses
+
+        from repro.sessions import SessionConfig
+
+        # ``repair`` here is the dynamic maintainer's RepairConfig, not an
+        # Algorithm 3 engine selector.
+        assert "engine" not in {field.name for field in dataclasses.fields(SessionConfig)}
+
+    def test_crr_has_no_skip_ranking_view(self):
+        from repro import CRRShedder
+
+        assert not hasattr(CRRShedder(), "skip_ranking")

@@ -1,5 +1,7 @@
 """Edge-list weight-column parsing, clamping, and round-trips."""
 
+import re
+
 import pytest
 
 from repro.errors import GraphError
@@ -29,6 +31,14 @@ def test_out_of_range_weights_clamped_and_counted(tmp_path):
     assert graph.edge_weight(1, 2) == 0.0
     assert graph.edge_weight(2, 3) == 0.5
     assert "clamped" in summary.describe()
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_non_finite_weight_tokens_rejected(tmp_path, token):
+    path = tmp_path / "nonfinite.txt"
+    path.write_text(f"0 1 0.5\n1 2 {token}\n")
+    with pytest.raises(GraphError, match=re.escape(f"{path}:2: non-finite weight token")):
+        read_edge_list_with_summary(path, weight_col=2)
 
 
 def test_no_weight_col_reads_unweighted(tmp_path):

@@ -56,7 +56,8 @@ class TestMakeShedder:
                 make_shedder(method, weighted=True)
 
     def test_weighted_rejects_legacy_engine(self):
-        with pytest.raises(ServiceError):
+        # One engine per algorithm: the removed selector is rejected, not ignored.
+        with pytest.raises(TypeError):
             make_shedder("crr", engine="legacy", weighted=True)
 
 
@@ -74,10 +75,11 @@ class TestRequestValidation:
 
     def test_weighted_rejects_legacy_engine(self):
         graph = uncertain_erdos_renyi(30, 0.2, seed=0)
-        with pytest.raises(ServiceError):
+        # One engine per algorithm: the removed selector is rejected, not ignored.
+        with pytest.raises(TypeError):
             ReductionRequest(
                 p=0.5, method="crr", graph=graph, weighted=True, engine="legacy"
-            ).validate()
+            )
 
 
 class TestServiceWeighted:
