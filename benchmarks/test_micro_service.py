@@ -19,11 +19,18 @@ disk tier: warm restarts also make zero computes.  Numbers land in
 
 The quick profile runs one graph size; ``REPRO_BENCH_FULL=1`` adds a
 larger one.
+
+A second measurement gates the digest memo: on a ~10k-edge graph a
+repeat-key ``submit()`` (a cache hit) must cost at most
+``1 / REPEAT_FLOOR`` of one cold :func:`~repro.service.store.graph_digest`
+of that graph, because the digest is memoised per graph version rather
+than recomputed per request.  ``REPEAT_TARGET`` is advisory.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import time
 import warnings
 from pathlib import Path
@@ -33,6 +40,7 @@ import pytest
 from repro.bench.harness import BenchReport
 from repro.graph import erdos_renyi
 from repro.service import ReductionRequest, SheddingService
+from repro.service.store import graph_digest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,6 +48,12 @@ ACCEPT_SEED = 42
 #: Hard CI floor (noise-tolerant) vs advisory acceptance target for the
 #: warm-over-cold throughput ratio.
 SPEEDUP_FLOOR, SPEEDUP_TARGET = 3.0, 20.0
+
+#: Hard CI floor vs advisory target for how many times cheaper a
+#: repeat-key submit() is than one cold graph digest.
+REPEAT_FLOOR, REPEAT_TARGET = 10.0, 50.0
+#: (nodes, edges) of the repeat-submit graph, and how many repeats to time.
+REPEAT_SIZE, REPEAT_SUBMITS = (2000, 10000), 25
 
 #: (nodes, edges) profiles; the larger one only runs under REPRO_BENCH_FULL=1.
 QUICK_SIZES = [(400, 1600)]
@@ -176,3 +190,57 @@ def test_warm_cache_beats_cold_pass(quick, archive_report, tmp_path):
         ],
     )
     archive_report(report)
+
+
+@pytest.mark.slow
+def test_repeat_submit_skips_the_digest():
+    graph = _make_graph(*REPEAT_SIZE)
+    start = time.perf_counter()
+    digest = graph_digest(graph)  # cold: hashes every node and edge
+    cold_digest_seconds = time.perf_counter() - start
+
+    request = ReductionRequest(graph=graph, method="random", p=0.5, seed=0)
+    with SheddingService(mode="inline") as service:
+        first = service.submit(request).result(timeout=60)
+        timings, hits = [], []
+        for _ in range(REPEAT_SUBMITS):
+            start = time.perf_counter()
+            handle = service.submit(request)
+            timings.append(time.perf_counter() - start)
+            hits.append(handle.result(timeout=60).cache_hit)
+    assert first.cache_hit is None
+    assert hits == ["memory"] * REPEAT_SUBMITS
+    assert graph_digest(graph) is digest
+
+    repeat_seconds = statistics.median(timings)
+    ratio = cold_digest_seconds / repeat_seconds
+    label = f"ER n={graph.num_nodes} m={graph.num_edges}"
+    assert ratio >= REPEAT_FLOOR, (
+        f"{label}: repeat-key submit() {repeat_seconds * 1e3:.3f} ms is only "
+        f"{ratio:.1f}x cheaper than one cold digest "
+        f"({cold_digest_seconds * 1e3:.3f} ms; hard floor {REPEAT_FLOOR}x)"
+    )
+    if ratio < REPEAT_TARGET:
+        warnings.warn(
+            f"{label}: repeat-key submit() only {ratio:.1f}x cheaper than a "
+            f"cold digest, below the {REPEAT_TARGET}x target (advisory; likely "
+            "a noisy runner)",
+            stacklevel=2,
+        )
+    _record(
+        "repeat_submit",
+        {
+            "graph": {
+                "generator": "erdos_renyi",
+                "nodes": graph.num_nodes,
+                "edges": graph.num_edges,
+                "seed": ACCEPT_SEED,
+            },
+            "repeat_submits": REPEAT_SUBMITS,
+            "cold_digest_seconds": round(cold_digest_seconds, 6),
+            "repeat_submit_p50_seconds": round(repeat_seconds, 6),
+            "ratio": round(ratio, 1),
+            "floor": REPEAT_FLOOR,
+            "target": REPEAT_TARGET,
+        },
+    )

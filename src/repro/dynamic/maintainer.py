@@ -339,10 +339,10 @@ class IncrementalShedder:
         reservoir_discard = self._reservoir.discard
         # Graph and monitor counters mirrored into locals for the loop;
         # flushed back before every rebuild (which reads them through the
-        # public surface) and in the finally block.  The graph's CSR cache
-        # needs no explicit invalidation: it is version-checked on read,
-        # and the version counter here advances exactly as Graph's own
-        # mutators would.
+        # public surface) and in the finally block.  The graph's memo (CSR
+        # snapshot, content digest) needs no explicit invalidation: it is
+        # version-checked on read, and the version counter here advances
+        # exactly as Graph's own mutators would.
         m = graph._num_edges
         gversion = graph._version
         next_order = graph._next_order

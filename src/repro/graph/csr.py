@@ -383,6 +383,9 @@ class CSRAdjacency:
         graph._order = dict(zip(labels, range(n)))
         graph._next_order = n
         graph._num_edges = int(edge_u.shape[0])
+        # The version add_node/add_edge would have reached building the
+        # same content, so the fresh graph's version reflects its writes.
+        graph._version = n + graph._num_edges
         return graph
 
 

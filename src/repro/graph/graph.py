@@ -26,7 +26,17 @@ explicit weight default to ``1.0`` (a certain edge).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    Optional,
+    Tuple,
+)
 
 from repro.errors import EdgeNotFoundError, GraphError, NodeNotFoundError, SelfLoopError
 
@@ -37,6 +47,12 @@ __all__ = ["Graph", "Node", "Edge"]
 
 Node = Hashable
 Edge = Tuple[Node, Node]
+
+
+def _build_csr(graph: "Graph") -> "CSRAdjacency":
+    from repro.graph.csr import CSRAdjacency
+
+    return CSRAdjacency.from_graph(graph)
 
 
 def _finite_weight(weight: float) -> float:
@@ -66,8 +82,7 @@ class Graph:
         "_order",
         "_num_edges",
         "_next_order",
-        "_csr_cache",
-        "_csr_version",
+        "_memo",
         "_version",
         "_weights",
     )
@@ -84,14 +99,15 @@ class Graph:
         self._order: Dict[Node, int] = {}
         self._next_order = 0
         self._num_edges = 0
-        #: memoised CSR snapshot; dropped on any mutation.
-        self._csr_cache: Optional["CSRAdjacency"] = None
-        #: mutation counter at which the cached snapshot was built.  The
-        #: cache is only served when this matches ``_version``, so even a
-        #: mutating path that forgot to null the cache cannot leak a stale
-        #: snapshot into array consumers (shard reconciliation would be
-        #: silently corrupted by one).
-        self._csr_version = -1
+        #: ``(version, {name: value})`` — derived state (the CSR snapshot,
+        #: the content digest) memoised by :meth:`memoised`; dropped on any
+        #: mutation.  Entries are only served while the recorded version
+        #: matches ``_version``, so even a mutating path that forgot to drop
+        #: the memo cannot leak stale state (shard reconciliation would be
+        #: silently corrupted by a stale snapshot, the artifact cache by a
+        #: stale digest).  Each dict belongs to one version for life: a
+        #: mutation replaces the memo, never clears it in place.
+        self._memo: Optional[Tuple[int, Dict[str, Any]]] = None
         #: monotonic mutation counter (the dynamic-maintenance hook).
         self._version = 0
         for node in nodes:
@@ -112,7 +128,7 @@ class Graph:
             self._weights[node] = {}
         self._order[node] = self._next_order
         self._next_order += 1
-        self._csr_cache = None
+        self._memo = None
         self._version += 1
         return True
 
@@ -146,7 +162,7 @@ class Graph:
         elif self._weights is not None:
             self._weights[u][v] = 1.0
             self._weights[v][u] = 1.0
-        self._csr_cache = None
+        self._memo = None
         self._version += 1
         return True
 
@@ -160,7 +176,7 @@ class Graph:
             del self._weights[u][v]
             del self._weights[v][u]
         self._num_edges -= 1
-        self._csr_cache = None
+        self._memo = None
         self._version += 1
 
     def discard_edge(self, u: Node, v: Node) -> bool:
@@ -173,7 +189,7 @@ class Graph:
             del self._weights[u][v]
             del self._weights[v][u]
         self._num_edges -= 1
-        self._csr_cache = None
+        self._memo = None
         self._version += 1
         return True
 
@@ -190,7 +206,7 @@ class Graph:
         if self._weights is not None:
             del self._weights[node]
         del self._order[node]
-        self._csr_cache = None
+        self._memo = None
         self._version += 1
 
     def _ensure_weights(self) -> Dict[Node, Dict[Node, float]]:
@@ -215,7 +231,7 @@ class Graph:
         weights = self._ensure_weights()
         weights[u][v] = weight
         weights[v][u] = weight
-        self._csr_cache = None
+        self._memo = None
         self._version += 1
 
     # ------------------------------------------------------------------
@@ -348,6 +364,25 @@ class Graph:
     # Array views
     # ------------------------------------------------------------------
 
+    def memoised(self, name: str, build: Callable[["Graph"], Any]) -> Any:
+        """``build(self)``, computed at most once per graph :attr:`version`.
+
+        The value is kept under ``name`` until the next mutation; callers
+        must treat it as immutable.  The version is read *before* ``build``
+        runs and the value is stored under it, so a graph mutated while
+        ``build`` is running never serves the value it produced.
+        """
+        version = self._version
+        memo = self._memo
+        if memo is None or memo[0] != version:
+            memo = (version, {})
+        elif name in memo[1]:
+            return memo[1][name]
+        value = build(self)
+        memo[1][name] = value
+        self._memo = memo
+        return value
+
     def csr(self) -> "CSRAdjacency":
         """The CSR snapshot of this graph, memoised until the next mutation.
 
@@ -357,12 +392,7 @@ class Graph:
         Any mutation (node/edge add or remove) drops the cache; the
         returned snapshot itself is immutable and stays valid.
         """
-        if self._csr_cache is None or self._csr_version != self._version:
-            from repro.graph.csr import CSRAdjacency
-
-            self._csr_cache = CSRAdjacency.from_graph(self)
-            self._csr_version = self._version
-        return self._csr_cache
+        return self.memoised("csr", _build_csr)
 
     def cached_csr(self) -> Optional["CSRAdjacency"]:
         """The memoised CSR snapshot if it is current, else ``None``.
@@ -371,8 +401,9 @@ class Graph:
         use this to reuse an existing snapshot without forcing a build on
         graphs that are only touched once.
         """
-        if self._csr_cache is not None and self._csr_version == self._version:
-            return self._csr_cache
+        memo = self._memo
+        if memo is not None and memo[0] == self._version:
+            return memo[1].get("csr")
         return None
 
     # ------------------------------------------------------------------
@@ -391,10 +422,11 @@ class Graph:
         clone._next_order = self._next_order
         clone._num_edges = self._num_edges
         clone._version = self._version
-        # The snapshot is immutable and describes the same structure, so
-        # the clone can share it until either side mutates.
-        clone._csr_cache = self._csr_cache
-        clone._csr_version = self._csr_version
+        # Memoised values are immutable and describe the same structure, so
+        # the clone shares them — but in its own dict: the two graphs can
+        # reach one version number through different mutations.
+        if self._memo is not None:
+            clone._memo = (self._memo[0], dict(self._memo[1]))
         return clone
 
     def edge_subgraph(self, edges: Iterable[Edge], keep_all_nodes: bool = True) -> "Graph":

@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-__all__ = ["RandomState", "ensure_rng", "spawn"]
+__all__ = ["RandomState", "check_seed", "ensure_rng", "spawn"]
 
 #: Anything accepted where a source of randomness is required.
 RandomState = Union[None, int, np.random.Generator]
@@ -34,11 +34,19 @@ def ensure_rng(seed: RandomState = None) -> np.random.Generator:
         return np.random.default_rng()
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, (int, np.integer)):
-        return np.random.default_rng(int(seed))
-    raise TypeError(
-        f"seed must be None, an int, or a numpy Generator, got {type(seed).__name__}"
-    )
+    check_seed(seed)
+    return np.random.default_rng(int(seed))
+
+
+def check_seed(seed: RandomState) -> None:
+    """Raise :class:`TypeError` unless :func:`ensure_rng` accepts ``seed``.
+
+    Lets a boundary reject a bad seed up front without building a generator.
+    """
+    if seed is not None and not isinstance(seed, (int, np.integer, np.random.Generator)):
+        raise TypeError(
+            f"seed must be None, an int, or a numpy Generator, got {type(seed).__name__}"
+        )
 
 
 def spawn(rng: np.random.Generator, count: int) -> list[np.random.Generator]:

@@ -16,6 +16,7 @@ key means the same thing everywhere.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,6 +29,7 @@ from repro.core.crr import CRRShedder
 from repro.core.random_shed import DegreeProportionalShedder, RandomShedder
 from repro.errors import ServiceError
 from repro.graph.graph import Graph
+from repro.rng import check_seed
 from repro.uncertain.shedders import WeightedBM2Shedder, WeightedCRRShedder
 
 __all__ = [
@@ -172,12 +174,25 @@ class ReductionRequest:
             raise ServiceError(f"unknown method {self.method!r}")
         if self.weighted and self.method.lower() not in ("crr", "bm2", "bm2-sparse"):
             raise ServiceError(f"method {self.method!r} has no weighted variant")
-        if self.deadline_seconds is not None and self.deadline_seconds < 0:
-            raise ServiceError(f"deadline_seconds must be >= 0, got {self.deadline_seconds}")
-        if self.max_resident_edges is not None and self.max_resident_edges <= 0:
+        if self.deadline_seconds is not None and not (
+            math.isfinite(self.deadline_seconds) and self.deadline_seconds >= 0
+        ):
             raise ServiceError(
-                f"max_resident_edges must be positive, got {self.max_resident_edges}"
+                f"deadline_seconds must be finite and >= 0, got {self.deadline_seconds}"
             )
+        if self.max_resident_edges is not None and not (
+            math.isfinite(self.max_resident_edges) and self.max_resident_edges > 0
+        ):
+            raise ServiceError(
+                f"max_resident_edges must be finite and positive, "
+                f"got {self.max_resident_edges}"
+            )
+        if self.num_sources is not None and self.num_sources < 1:
+            raise ServiceError(f"num_sources must be >= 1, got {self.num_sources}")
+        try:
+            check_seed(self.seed)
+        except TypeError as error:
+            raise ServiceError(str(error)) from None
 
     def describe(self) -> str:
         where = self.graph_ref or "<inline graph>"

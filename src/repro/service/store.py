@@ -74,7 +74,17 @@ def graph_digest(graph: Graph) -> str:
     into its token via ``repr``, so the same topology under two weight
     fields caches separately; the byte stream for unweighted graphs is
     unchanged from before weights existed, preserving old disk caches.
+
+    Memoised per :attr:`Graph.version` (:meth:`Graph.memoised`): repeat
+    calls on an unchanged graph cost a version check, and any mutation
+    makes the next call hash the new content.  Memoising changes no
+    digest byte, so existing cache directories keep serving hits.
     """
+    return graph.memoised("digest", _hash_graph)
+
+
+def _hash_graph(graph: Graph) -> str:
+    """The unmemoised body of :func:`graph_digest`: hash every node and edge."""
     weighted = graph.is_weighted
     hasher = sha256(b"repro-graph-v1\0")
     for token in sorted(_node_token(node) for node in graph.nodes()):
@@ -186,7 +196,11 @@ class ArtifactStore:
         seed: Optional[int],
         variant: str = "",
     ) -> ArtifactKey:
-        """Build the content-addressed key for one reduction request."""
+        """Build the content-addressed key for one reduction request.
+
+        The graph part is :func:`graph_digest`, memoised on the graph, so
+        repeat keys for an unchanged graph do not re-hash it.
+        """
         return ArtifactKey(
             graph_digest=graph_digest(graph),
             method=method.lower(),

@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.graph.graph import Graph
+from repro.graph.io import write_edge_list
+from repro.service import store
 from repro.service import (
     JobStatus,
     ReductionRequest,
@@ -52,6 +54,31 @@ class TestRequestValidation:
         with SheddingService(mode="inline") as service:
             handle = service.submit(ReductionRequest(p=0.5, graph_ref="nope:xyz"))
             assert handle.result(timeout=5).status is JobStatus.REJECTED
+
+    def _assert_rejected_at_submit(self, graph, field, value):
+        request = ReductionRequest(graph=graph, method="crr", p=0.5, **{field: value})
+        with pytest.raises(ServiceError, match=field):
+            request.validate()
+        with SheddingService(mode="inline") as service:
+            result = service.submit(request).result(timeout=30)
+            assert result.status is JobStatus.REJECTED
+            assert service.metrics.counter("jobs_executed").value == 0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_deadline(self, graph, value):
+        self._assert_rejected_at_submit(graph, "deadline_seconds", value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_max_resident_edges(self, graph, value):
+        self._assert_rejected_at_submit(graph, "max_resident_edges", value)
+
+    @pytest.mark.parametrize("value", [0, -4])
+    def test_rejects_num_sources_below_one(self, graph, value):
+        self._assert_rejected_at_submit(graph, "num_sources", value)
+
+    @pytest.mark.parametrize("value", [1.5, "3"])
+    def test_rejects_seed_ensure_rng_refuses(self, graph, value):
+        self._assert_rejected_at_submit(graph, "seed", value)
 
 
 class TestCaching:
@@ -102,6 +129,42 @@ class TestCaching:
             assert fresh.store.stats["computes"] == 0
             assert _edge_set(warm.reduction) == _edge_set(cold.reduction)
             assert warm.reduction.delta == cold.reduction.delta
+
+
+class TestDigestMemo:
+    @pytest.fixture
+    def hash_calls(self, monkeypatch):
+        """Count runs of the unmemoised digest body."""
+        calls = []
+        body = store._hash_graph
+        monkeypatch.setattr(
+            store, "_hash_graph", lambda graph: calls.append(1) or body(graph)
+        )
+        return calls
+
+    def test_repeat_file_submits_hash_once(self, graph, tmp_path, hash_calls):
+        path = tmp_path / "graph.txt"
+        write_edge_list(graph, path)
+        request = ReductionRequest(graph_ref=f"file:{path}", method="bm2", p=0.5)
+        with SheddingService(mode="inline") as service:
+            results = [service.submit(request).result(timeout=30) for _ in range(6)]
+        assert [r.cache_hit for r in results] == [None] + ["memory"] * 5
+        assert len(hash_calls) == 1
+
+    def test_inline_mutation_between_submits_rekeys(self, graph, hash_calls):
+        with SheddingService(mode="inline") as service:
+            def submit():
+                request = ReductionRequest(graph=graph, method="bm2", p=0.5)
+                return service.submit(request).result(timeout=30)
+
+            first = submit()
+            assert graph.add_edge(0, 59)
+            second, third = submit(), submit()
+        assert (first.cache_hit, second.cache_hit, third.cache_hit) == (
+            None, None, "memory",
+        )
+        assert len(hash_calls) == 2
+        assert second.reduction.original.num_edges == graph.num_edges
 
 
 class TestDeterminism:

@@ -44,6 +44,21 @@ class TestGraphDigest:
         b = Graph(edges=[(1, 2)], nodes=[99])
         assert graph_digest(a) != graph_digest(b)
 
+    # Persisted artifact file names derive from these bytes: a changed
+    # digest silently orphans every existing cache directory.
+    def test_unweighted_digest_bytes_pinned(self, graph):
+        assert graph_digest(graph) == (
+            "9bbf854aa208b97c86e350751e5c3924b446ba2fd8ea7e8abd2cbe7bb5a53c86"
+        )
+
+    def test_weighted_digest_bytes_pinned(self):
+        g = Graph(edges=[(1, 2), (2, 3)], nodes=["x"])
+        g.add_edge(3, 1, weight=0.25)
+        g.set_edge_weight(1, 2, 0.5)
+        assert graph_digest(g) == (
+            "cbc4781bfb353d2547119819536f08d636326df1a93dc4db0de0976d5f90770f"
+        )
+
 
 class TestArtifactKey:
     def test_token_is_stable_and_filesystem_safe(self):
