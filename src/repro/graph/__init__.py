@@ -62,6 +62,7 @@ from repro.graph.kernels import (
     brandes_accumulate,
     component_ids,
     distance_histogram,
+    source_level_counts,
 )
 from repro.graph.sampling import select_source_ids, select_sources
 from repro.graph.io import (
@@ -109,6 +110,7 @@ __all__ = [
     "bfs_distance_array",
     "bfs_level_sizes",
     "distance_histogram",
+    "source_level_counts",
     "component_ids",
     "select_source_ids",
     "select_sources",

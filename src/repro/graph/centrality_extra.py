@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.graph import Graph, Node
-from repro.graph.kernels import bfs_level_sizes
+from repro.graph.kernels import source_level_counts
 from repro.graph.sampling import select_source_ids
 from repro.rng import RandomState
 
@@ -32,23 +32,23 @@ def closeness_centrality(
     graphs are handled gracefully.  ``num_sources`` restricts computation
     to a sampled subset of nodes (the rest are omitted from the result).
 
-    Each source's reachable count and distance sum come from the CSR BFS
-    kernel's per-level sizes — no per-node distance dict is built.
+    Each source's reachable count and distance sum come from one
+    bit-parallel sweep over all sources
+    (:func:`repro.graph.kernels.source_level_counts`) — no per-node
+    distance dict is built.
     """
     csr = graph.csr()
     n = graph.num_nodes
     source_ids, _ = select_source_ids(n, num_sources, seed)
+    counts = source_level_counts(csr, source_ids)
+    reached = counts.sum(axis=1).tolist()
+    totals = (counts @ np.arange(counts.shape[1], dtype=np.int64)).tolist()
     centrality: Dict[Node, float] = {}
-    for source in source_ids.tolist():
-        sizes = bfs_level_sizes(csr, source)
-        reachable = 1 + sum(sizes)
-        total = sum(depth * size for depth, size in enumerate(sizes, start=1))
+    for source, others, total in zip(source_ids.tolist(), reached, totals):
         if total == 0 or n <= 1:
             centrality[csr.labels[source]] = 0.0
             continue
-        centrality[csr.labels[source]] = ((reachable - 1) / (n - 1)) * (
-            (reachable - 1) / total
-        )
+        centrality[csr.labels[source]] = (others / (n - 1)) * (others / total)
     return centrality
 
 

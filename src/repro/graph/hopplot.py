@@ -4,8 +4,10 @@ The hop-plot maps each hop count ``k`` to the fraction of *all* vertex pairs
 that are reachable within ``k`` hops.  It is the cumulative companion of the
 shortest-path distance distribution and is what the paper's Figure 10 shows.
 
-Exact computation is one BFS per node; for larger graphs the sampled variant
-estimates the same curve from a uniform subset of sources.
+Exact computation is a BFS from every node (run bit-parallel, 64 sources
+per machine word, by :func:`repro.graph.kernels.distance_histogram`); for
+larger graphs the sampled variant estimates the same curve from a uniform
+subset of sources.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ def hop_plot(
     always tops out at 1.0.  ``normalize="all"`` divides by all ``n(n-1)``
     ordered pairs instead, so disconnected graphs top out below 1.0.
     When sources are sampled, the denominator scales to the sampled pairs.
+    ``max_hops`` truncates the curve and must be at least 1.
     """
+    _check_max_hops(max_hops)
     if normalize not in ("reachable", "all"):
         raise ValueError(f"normalize must be 'reachable' or 'all', got {normalize!r}")
     n = graph.num_nodes
@@ -58,6 +62,12 @@ def hop_plot(
         cumulative += counts.get(hops, 0)
         plot[hops] = cumulative / total_pairs
     return plot
+
+
+def _check_max_hops(max_hops: Optional[int]) -> None:
+    """Raise :class:`ValueError` unless ``max_hops`` is ``None`` or >= 1."""
+    if max_hops is not None and max_hops < 1:
+        raise ValueError(f"max_hops must be at least 1, got {max_hops}")
 
 
 def reachable_pair_fraction(

@@ -1,14 +1,18 @@
 """CSR-native array kernels for per-source graph traversals.
 
 This module is the hot path of the whole library.  CRR's Phase-1 edge
-ranking, the node-betweenness evaluation task, the shortest-path and
-hop-plot sweeps, and closeness centrality all reduce to the same inner
-loop: one BFS per source over an unweighted graph, plus (for betweenness)
-Brandes' reverse dependency accumulation.  Running that loop over Python
+ranking and the node-betweenness evaluation task run one BFS per source
+with Brandes' reverse dependency accumulation.  The shortest-path and
+hop-plot sweeps and closeness centrality only need how many nodes sit at
+each distance from each source, so they share one bit-parallel
+multi-source BFS (MS-BFS; Then et al., "The More the Merrier", VLDB 2015)
+in which 64 sources advance per ``uint64`` word and a level is one OR of
+the frontier words over CSR neighbourhoods.  Running either over Python
 dicts-of-sets costs a dict operation per traversed edge; these kernels
 instead operate on a :class:`CSRAdjacency` snapshot with flat numpy
-arrays — ``int64`` distances, ``float64`` path counts and dependencies —
-and process each BFS *level* as one vectorised batch.
+arrays — ``int64`` distances, ``float64`` path counts and dependencies,
+``uint64`` source bitsets — and process each BFS *level* as one
+vectorised batch.
 
 Key representation choices:
 
@@ -25,6 +29,14 @@ Key representation choices:
   ``+=``.  The two oriented halves of each undirected edge are folded
   together only at the API boundary
   (:meth:`CSRAdjacency.undirected_entries`).
+* **Source bitsets, not distances.**  The distance sweeps keep a
+  ``uint64[n, w]`` *seen* matrix per block of ``64 w`` sources; a level's
+  histogram entry is the popcount of the bits it newly set.  Counts are
+  integers, so results equal the per-source loop in
+  ``tests/oracles/traversal.py`` exactly.  Blocks and gathers are sized
+  by ``_CELL_BUDGET``, so scratch does not grow with the number of
+  sources or edges (see :func:`_bit_levels`).  Brandes is not batched
+  this way: path counts are not bits.
 * **Identical arithmetic.**  Each scalar contribution is computed by the
   same formula as the dict implementation in ``tests/oracles/centrality.py``
   (``sigma[v] * (1 + delta[w]) / sigma[w]``); shortest-path counts are
@@ -41,10 +53,11 @@ seeded source sampling live in the wrappers
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import GraphError
 from repro.graph.csr import CSRAdjacency
 
 __all__ = [
@@ -52,11 +65,26 @@ __all__ = [
     "bfs_distance_array",
     "bfs_level_sizes",
     "distance_histogram",
+    "source_level_counts",
     "component_ids",
     "walk_epoch_matrix",
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+#: Scratch budget of the multi-source sweep, in 8-byte cells: a block packs
+#: ``_CELL_BUDGET // n`` words of source bits per node, and each gather
+#: covers at most ``_CELL_BUDGET`` words of neighbour bits.
+_CELL_BUDGET = 1 << 18
+
+#: A frontier owning at least ``1 / _PULL_RATIO`` of the CSR entries is
+#: pulled over every row instead of pushed along its own entries.
+_PULL_RATIO = 8
+
+#: A pull ORs neighbour slot ``k`` of all rows in one step while those
+#: rows hold at least this many words; below it one ``reduceat`` per row
+#: is cheaper than another Python step.
+_SLOT_CELLS = 1024
 
 
 def _expand(
@@ -70,14 +98,18 @@ def _expand(
     """
     starts = indptr[frontier]
     counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
+    if int(counts.sum()) == 0:
         return _EMPTY, _EMPTY, _EMPTY
-    ends = np.cumsum(counts)
-    # Entry t of frontier row k lands at output offset (ends[k]-counts[k])+t
-    # and must read CSR position starts[k]+t.
-    positions = np.repeat(starts - ends + counts, counts) + np.arange(total)
+    positions = _segments(starts, counts)
     return positions, indices[positions], np.repeat(np.arange(frontier.shape[0]), counts)
+
+
+def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """CSR positions ``starts[k] .. starts[k] + counts[k] - 1`` for every ``k``, flat."""
+    ends = np.cumsum(counts)
+    # Entry t of segment k lands at output offset (ends[k]-counts[k])+t
+    # and must read CSR position starts[k]+t.
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
 
 
 def _scatter_add(out: np.ndarray, targets: np.ndarray, values: np.ndarray) -> None:
@@ -137,7 +169,7 @@ def brandes_accumulate(
     dist = np.empty(n, dtype=np.int64)
     sigma = np.empty(n, dtype=np.float64)
     delta = np.empty(n, dtype=np.float64)
-    for source in np.asarray(list(sources), dtype=np.int64):
+    for source in _source_ids(csr, sources):
         dist.fill(-1)
         sigma.fill(0.0)
         dist[source] = 0
@@ -204,6 +236,7 @@ def bfs_distance_array(
     ``cutoff`` bounds the search depth (inclusive), matching
     :func:`repro.graph.traversal.bfs_distances`.
     """
+    source = int(_source_ids(csr, [source])[0])
     n = csr.num_nodes
     dist = np.full(n, -1, dtype=np.int64)
     dist[source] = 0
@@ -225,21 +258,30 @@ def bfs_level_sizes(csr: CSRAdjacency, source: int) -> List[int]:
 
     The summary every distance sweep needs: level ``d``'s size is the count
     of nodes at distance exactly ``d``, so distance histograms, closeness
-    sums, and hop-plots never materialise per-node dictionaries.
+    sums, and hop-plots never materialise per-node dictionaries.  One row
+    of :func:`source_level_counts`.
     """
-    dist = np.full(csr.num_nodes, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    sizes: List[int] = []
-    while frontier.size:
-        _, targets, _ = _expand(csr.indptr, csr.indices, frontier)
-        fresh = targets[dist[targets] < 0]
-        if fresh.size == 0:
-            break
-        dist[fresh] = len(sizes) + 1
-        frontier = _next_frontier(dist, fresh, len(sizes) + 1)
-        sizes.append(int(frontier.size))
-    return sizes
+    counts = source_level_counts(csr, [source])[0]
+    return counts[1:].tolist()
+
+
+def source_level_counts(csr: CSRAdjacency, sources: Iterable[int]) -> np.ndarray:
+    """Nodes at each hop distance from each source, ``int64[S, D + 1]``.
+
+    Row ``i`` counts the nodes at distance ``0, 1, ..., D`` from
+    ``sources[i]`` (column 0 is always 0), where ``D`` is the largest
+    eccentricity among the sources; a source's row is zero past its own
+    eccentricity.  Duplicate sources get duplicate rows.
+    """
+    ids = _source_ids(csr, sources)
+    levels: List[np.ndarray] = [np.zeros(ids.shape[0], dtype=np.int64)]
+    for first, depth, fresh in _bit_levels(csr, ids):
+        if depth == len(levels):
+            levels.append(np.zeros(ids.shape[0], dtype=np.int64))
+        lanes = _lane_popcounts(fresh)
+        width = min(lanes.shape[0], ids.shape[0] - first)
+        levels[depth][first : first + width] += lanes[:width]
+    return np.stack(levels, axis=1)
 
 
 def distance_histogram(csr: CSRAdjacency, sources: Iterable[int]) -> np.ndarray:
@@ -247,16 +289,194 @@ def distance_histogram(csr: CSRAdjacency, sources: Iterable[int]) -> np.ndarray:
 
     Returns ``int64[max_distance + 1]`` with index = distance; index 0 is
     always 0 (a node is not a pair with itself).  This is the array form of
-    :func:`repro.graph.shortest_paths.pairwise_distance_counts`.
+    :func:`repro.graph.shortest_paths.pairwise_distance_counts`, and equals
+    ``source_level_counts(csr, sources).sum(axis=0)`` without keeping the
+    per-source rows: each level's entry is one popcount of the fresh bits.
     """
     counts: List[int] = [0]
-    for source in sources:
-        sizes = bfs_level_sizes(csr, int(source))
-        if len(sizes) >= len(counts):
-            counts.extend([0] * (len(sizes) - len(counts) + 1))
-        for depth, size in enumerate(sizes, start=1):
-            counts[depth] += size
+    for _, depth, fresh in _bit_levels(csr, _source_ids(csr, sources)):
+        if depth == len(counts):
+            counts.append(0)
+        counts[depth] += _popcount(fresh)
     return np.asarray(counts, dtype=np.int64)
+
+
+def _source_ids(csr: CSRAdjacency, sources: Iterable[int]) -> np.ndarray:
+    """``sources`` as ``int64`` node ids, or :class:`GraphError` naming the bad one.
+
+    Accepts integers (Python or numpy, not ``bool``) in ``[0, n)``; a float
+    such as ``1.5`` is refused rather than truncated to a different node.
+    """
+    n = csr.num_nodes
+    if isinstance(sources, np.ndarray) and sources.ndim == 1 and sources.dtype.kind in "iu":
+        bad = np.flatnonzero((sources < 0) | (sources >= n))
+        if bad.shape[0]:
+            raise GraphError(
+                f"source id {sources[bad[0]]} is not a node id of a {n}-node graph"
+            )
+        return sources.astype(np.int64, copy=False)
+    ids = list(sources)
+    for source in ids:
+        if isinstance(source, (bool, np.bool_)) or not isinstance(source, (int, np.integer)):
+            raise GraphError(f"source id {source!r} is not an integer node id")
+        if not 0 <= source < n:
+            raise GraphError(f"source id {source} is not a node id of a {n}-node graph")
+    return np.asarray(ids, dtype=np.int64)
+
+
+def _popcount(words: np.ndarray) -> int:
+    """Total set bits of a ``uint64`` array (SWAR, so numpy < 2.0 works too)."""
+    words = words - ((words >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    words = (words & np.uint64(0x3333333333333333)) + (
+        (words >> np.uint64(2)) & np.uint64(0x3333333333333333)
+    )
+    words = (words + (words >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return int(((words * np.uint64(0x0101010101010101)) >> np.uint64(56)).sum(dtype=np.int64))
+
+
+def _lane_popcounts(words: np.ndarray) -> np.ndarray:
+    """Per-lane set-bit counts of ``uint64[k, w]``: ``int64[64 w]``, lane ``64j + b``
+    being bit ``b`` of word ``j``.  Rows are unpacked in budget-sized chunks."""
+    counts = np.zeros(64 * words.shape[1], dtype=np.int64)
+    step = max(1, _CELL_BUDGET // (8 * words.shape[1]))
+    for lo in range(0, words.shape[0], step):
+        # Little-endian bytes: byte 8j + k of a row holds bits 8k..8k+7 of word j.
+        chunk = words[lo : lo + step].astype("<u8", copy=False).view(np.uint8)
+        counts += np.unpackbits(chunk, axis=1, bitorder="little").sum(axis=0, dtype=np.int64)
+    return counts
+
+
+def _row_chunks(row_degrees: np.ndarray, cap: int) -> List[Tuple[int, int]]:
+    """Split (at least one) rows into consecutive ``(lo, hi)`` runs of about
+    ``cap`` entries.
+
+    A run holds at most ``cap`` entries plus its first row's degree (a row
+    is never split).
+    """
+    ends = np.cumsum(row_degrees)
+    if ends[-1] <= cap:
+        return [(0, row_degrees.shape[0])]
+    cuts = np.searchsorted(ends, np.arange(cap, ends[-1], cap), side="right")
+    bounds = np.unique(np.concatenate(([0], cuts, [row_degrees.shape[0]])))
+    return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+
+
+def _or_by_target(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, words: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Push ``words[i]`` along every CSR entry of ``rows[i]``; OR per target.
+
+    Returns ``(targets, merged)`` with ``targets`` ascending and distinct.
+    """
+    _, targets, rep = _expand(indptr, indices, rows)
+    order = np.argsort(targets)
+    targets = targets[order]
+    heads = np.flatnonzero(np.concatenate(([True], targets[1:] != targets[:-1])))
+    return targets[heads], np.bitwise_or.reduceat(words[rep[order]], heads, axis=0)
+
+
+class _PullPlan:
+    """Row order for ORing every row's neighbour words, built once per sweep.
+
+    Rows with an edge are sorted by degree, largest first, so the rows
+    owning a ``k``-th neighbour are a prefix: neighbour slot ``k`` is one
+    gather and one ``|=`` over that prefix, with contiguous ``w``-word
+    rows (a ``reduceat`` over ``axis=0`` runs several times slower on
+    multi-word rows).  A slot gets its own step only while its owners
+    hold at least ``_SLOT_CELLS`` words; the later slots belong to a few
+    heavy rows, whose tails are OR-reduced per row with ``reduceat`` in
+    budget-sized chunks, so no hub costs one Python step per neighbour.
+    """
+
+    def __init__(self, indptr: np.ndarray, degrees: np.ndarray) -> None:
+        nonempty = np.flatnonzero(degrees)
+        self.rows = nonempty[np.argsort(-degrees[nonempty], kind="stable")]
+        self.starts = indptr[self.rows]
+        self.degrees = degrees[self.rows]
+        # owners[k]: how many rows have a neighbour in slot k (descending).
+        self.owners = np.searchsorted(
+            -self.degrees, -np.arange(int(self.degrees[0]) + 1), side="left"
+        )
+
+    def gather(self, indices: np.ndarray, board: np.ndarray) -> np.ndarray:
+        """``out[i]`` = OR of ``board`` over the neighbours of ``self.rows[i]``."""
+        width = board.shape[1]
+        slots = max(1, int(np.count_nonzero(self.owners * width >= _SLOT_CELLS)))
+        out = board[indices[self.starts]]
+        for slot in range(1, slots):
+            owners = self.owners[slot]
+            out[:owners] |= board[indices[self.starts[:owners] + slot]]
+        heavy = int(self.owners[slots])
+        tails = self.degrees[:heavy] - slots
+        for lo, hi in _row_chunks(tails, max(1, _CELL_BUDGET // width)) if heavy else []:
+            positions = _segments(self.starts[lo:hi] + slots, tails[lo:hi])
+            heads = np.cumsum(tails[lo:hi]) - tails[lo:hi]
+            out[lo:hi] |= np.bitwise_or.reduceat(board[indices[positions]], heads, axis=0)
+        return out
+
+
+def _bit_levels(
+    csr: CSRAdjacency, sources: np.ndarray
+) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """Bit-parallel multi-source BFS (MS-BFS): yield ``(first, depth, fresh)``.
+
+    Source ``sources[first + 64 j + b]`` owns bit ``b`` of word ``j`` in
+    every node's row of a block's ``seen`` matrix.  For each block of
+    sources and each level ``depth >= 1`` the generator yields ``fresh``,
+    ``uint64[k, w]``: the bits newly set at that level, one row per node
+    that gained any, so the popcount of ``fresh`` is the number of
+    (source, node) pairs at distance ``depth``.
+
+    A level ORs the frontier words over CSR neighbourhoods.  A frontier
+    whose rows own few CSR entries is *pushed*: its entries are gathered,
+    sorted by target and OR-reduced, touching only rows adjacent to the
+    frontier.  A frontier owning at least ``1 / _PULL_RATIO`` of all
+    entries, or more words of them than ``_CELL_BUDGET``, is *pulled*:
+    every row ORs its neighbours' words (:class:`_PullPlan`), no sort
+    needed.  Both give the same words, so the choice is pure cost.
+
+    Memory: a block packs ``max(1, _CELL_BUDGET // n)`` words per node,
+    and every gather of neighbour words covers at most ``_CELL_BUDGET``
+    cells plus one row.  Peak scratch therefore stays below
+    ``16 · (_CELL_BUDGET + n)`` eight-byte cells (about 32 MiB plus
+    128 bytes per node at the default budget) however many sources or
+    edges there are; only graphs past ``_CELL_BUDGET`` nodes grow it, as
+    any ``int64[n]`` distance array would.
+    """
+    n = csr.num_nodes
+    indptr, indices = csr.indptr, csr.indices
+    degrees = np.diff(indptr)
+    plan: Optional[_PullPlan] = None
+    block_words = max(1, _CELL_BUDGET // max(n, 1))
+    for first in range(0, sources.shape[0], 64 * block_words):
+        lanes = sources[first : first + 64 * block_words]
+        lane = np.arange(lanes.shape[0])
+        width = -(-lanes.shape[0] // 64)
+        seen = np.zeros((n, width), dtype=np.uint64)
+        bits = np.left_shift(np.uint64(1), (lane & 63).astype(np.uint64))
+        np.bitwise_or.at(seen, (lanes, lane >> 6), bits)
+        rows = np.unique(lanes)
+        fresh = seen[rows]
+        depth = 0
+        while rows.shape[0]:
+            entries = int(degrees[rows].sum())
+            if entries == 0:
+                break
+            depth += 1
+            if entries * _PULL_RATIO < indices.shape[0] and entries * width <= _CELL_BUDGET:
+                targets, merged = _or_by_target(indptr, indices, rows, fresh)
+            else:
+                if plan is None:
+                    plan = _PullPlan(indptr, degrees)
+                board = np.zeros((n, width), dtype=np.uint64)
+                board[rows] = fresh
+                targets, merged = plan.rows, plan.gather(indices, board)
+            merged &= ~seen[targets]
+            hit = np.flatnonzero(merged.any(axis=1))
+            rows, fresh = targets[hit], merged[hit]
+            seen[rows] |= fresh
+            if rows.shape[0]:
+                yield first, depth, fresh
 
 
 def component_ids(csr: CSRAdjacency) -> np.ndarray:

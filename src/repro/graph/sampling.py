@@ -14,7 +14,8 @@ The contract (pinned by ``tests/graph/test_sampling.py``):
 * otherwise ``ensure_rng(seed).choice(n, size=num_sources, replace=False)``
   picks positional indices into the insertion-order node list — positions
   which are exactly the integer ids of a :class:`CSRAdjacency` snapshot;
-* ``num_sources <= 0`` raises :class:`ValueError`;
+* ``num_sources <= 0``, a non-integer or a ``bool`` raises
+  :class:`ValueError` before any draw, so a rejected call consumes no seed;
 * the returned scale factor ``n / num_sources`` turns sampled betweenness
   sums into the unbiased estimator of the exact value.
 """
@@ -44,6 +45,11 @@ def select_source_ids(
     the rows of its :class:`CSRAdjacency` snapshot, which are the same
     ordering by construction.
     """
+    if num_sources is not None and (
+        isinstance(num_sources, (bool, np.bool_))
+        or not isinstance(num_sources, (int, np.integer))
+    ):
+        raise ValueError(f"num_sources must be an integer or None, got {num_sources!r}")
     if num_sources is None or num_sources >= num_nodes:
         return np.arange(num_nodes, dtype=np.int64), 1.0
     if num_sources <= 0:

@@ -40,15 +40,16 @@ def pairwise_distance_counts(
 ) -> Counter:
     """Count reachable ordered pairs by hop distance (distance >= 1).
 
-    With ``num_sources=None`` this is exact: one BFS per node, counting each
+    With ``num_sources=None`` this is exact: a BFS from every node, counting each
     ordered pair once (so every unordered pair is counted twice, which cancels
     out when normalising).  With sampling, counts are from the sampled sources
     only — an unbiased estimate of the distribution.
 
-    The per-source sweep runs on the CSR kernel
-    (:func:`repro.graph.kernels.distance_histogram`): each BFS only tallies
-    level sizes, never a per-node dictionary.  Source sampling is shared
-    with betweenness via :mod:`repro.graph.sampling`.
+    The sweep runs on the bit-parallel multi-source BFS kernel
+    (:func:`repro.graph.kernels.distance_histogram`): all sources advance
+    together and each level only tallies a popcount, never a per-node
+    dictionary.  Source sampling is shared with betweenness via
+    :mod:`repro.graph.sampling`.
     """
     csr = graph.csr()
     source_ids, _ = select_source_ids(csr.num_nodes, num_sources, seed)

@@ -170,6 +170,18 @@ def _admission_rounds(
     return added_u, added_v
 
 
+def _unkept_edges(
+    csr: CSRAdjacency, kept_u: np.ndarray, kept_v: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every edge of ``csr`` not among ``(kept_u, kept_v)``, in edge-scan order."""
+    n = csr.num_nodes
+    edge_u, edge_v = csr.edge_list_ids()
+    edge_keys = np.minimum(edge_u, edge_v) * n + np.maximum(edge_u, edge_v)
+    kept_keys = np.minimum(kept_u, kept_v) * n + np.maximum(kept_u, kept_v)
+    unkept = ~np.isin(edge_keys, kept_keys)
+    return edge_u[unkept], edge_v[unkept]
+
+
 def reconcile_ids(
     csr: CSRAdjacency,
     p: float,
@@ -187,9 +199,10 @@ def reconcile_ids(
     shard results, then (a) admits every boundary edge that strictly
     lowers the global ``Δ`` and — when ``target`` is given — (b) demotes
     worst-scoring kept edges while the count exceeds it and (c) fills
-    with least-harm boundary edges while it falls short.  Steps (b)/(c)
-    are mutually exclusive and land the reduction on exactly ``target``
-    edges.
+    with least-harm boundary edges while it falls short — then, once the
+    boundary is exhausted, with least-harm shed interior edges.  Steps
+    (b)/(c) are mutually exclusive and land the reduction on exactly
+    ``target`` edges.
 
     ``target`` is the *method's* contract, not a universal one: CRR pins
     ``[p·m]`` exactly, so its sharded runs pass it; BM2's edge count is
@@ -264,6 +277,23 @@ def reconcile_ids(
         )
         current_u = np.concatenate((current_u, np.asarray(filled_u, dtype=np.int64)))
         current_v = np.concatenate((current_v, np.asarray(filled_v, dtype=np.int64)))
+    if target is not None and tracker.num_edges < target:
+        # The boundary pool ran dry: per-shard rounding can sum below the
+        # global [p·m] (e.g. two shards of 2 edges at p=0.7 keep 1+1, the
+        # whole graph wants [0.7·5]=4), so fill from the shed interior edges.
+        pool_u, pool_v = _unkept_edges(csr, current_u, current_v)
+        more_u, more_v = _admission_rounds(
+            tracker,
+            pool_u,
+            pool_v,
+            np.ones(pool_u.shape[0], dtype=bool),
+            improving_only=False,
+            limit=target - tracker.num_edges,
+        )
+        filled_u.extend(more_u)
+        filled_v.extend(more_v)
+        current_u = np.concatenate((current_u, np.asarray(more_u, dtype=np.int64)))
+        current_v = np.concatenate((current_v, np.asarray(more_v, dtype=np.int64)))
 
     stats["reconcile_target"] = target
     stats["boundary_admitted"] = len(admitted_u)

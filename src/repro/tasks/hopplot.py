@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.graph.graph import Graph
-from repro.graph.hopplot import hop_plot
+from repro.graph.hopplot import _check_max_hops, hop_plot
 from repro.rng import RandomState
 from repro.tasks.base import GraphTask, TaskArtifact
 from repro.tasks.metrics import curve_similarity
@@ -30,6 +30,7 @@ class HopPlotTask(GraphTask):
         normalize: str = "reachable",
         seed: RandomState = None,
     ) -> None:
+        _check_max_hops(max_hops)
         self.max_hops = max_hops
         self.num_sources = num_sources
         self.normalize = normalize

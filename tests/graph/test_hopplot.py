@@ -36,6 +36,11 @@ class TestHopPlot:
         plot = hop_plot(small_powerlaw, max_hops=2)
         assert max(plot) <= 2
 
+    @pytest.mark.parametrize("max_hops", [0, -3])
+    def test_max_hops_below_one_rejected(self, cycle6, max_hops):
+        with pytest.raises(ValueError, match=f"max_hops must be at least 1, got {max_hops}"):
+            hop_plot(cycle6, max_hops=max_hops)
+
     def test_tiny_graphs(self):
         assert hop_plot(Graph()) == {}
         assert hop_plot(Graph(nodes=[1])) == {}

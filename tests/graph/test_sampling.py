@@ -6,6 +6,8 @@ here — identical picks for identical seeds, rng untouched when sampling
 is a no-op — is what keeps fixed-seed experiment outputs reproducible.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,21 @@ class TestSelectSourceIds:
             select_source_ids(10, 0, seed=0)
         with pytest.raises(ValueError):
             select_source_ids(10, -3, seed=0)
+
+    @pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0), "4"])
+    def test_non_integer_rejected_before_any_draw(self, bad):
+        rng = ensure_rng(42)
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            select_source_ids(10, bad, seed=rng)
+        assert rng.random() == ensure_rng(42).random()
+
+    def test_oversized_non_integer_rejected(self):
+        with pytest.raises(ValueError, match="99.5"):
+            select_source_ids(10, 99.5, seed=0)
+
+    def test_numpy_integer_accepted(self):
+        ids, _ = select_source_ids(10, np.int32(3), seed=0)
+        assert ids.tolist() == select_source_ids(10, 3, seed=0)[0].tolist()
 
 
 class TestSelectSources:

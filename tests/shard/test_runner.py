@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import BM2Shedder, CRRShedder, compute_delta, round_half_up
 from repro.core.discrepancy import ArrayDegreeTracker
+from repro.graph import Graph
 from repro.shard import SHARD_METHODS, ShardedShedder, partition_graph, reconcile_ids
 
 
@@ -204,3 +205,33 @@ class TestReconcile:
         tracker = ArrayDegreeTracker(small_powerlaw, p)
         tracker.add_edges_ids(kept_u, kept_v)
         assert stats["tracker_delta"] == pytest.approx(tracker.delta)
+
+    def test_reconcile_fills_from_interior_once_boundary_is_exhausted(self, small_powerlaw):
+        p = 0.5
+        plan = partition_graph(small_powerlaw, 3, seed=0)
+        empty = np.empty(0, dtype=np.int64)
+        stats = {}
+        # More than the boundary can supply: the fill must continue with
+        # shed interior edges and still land exactly on the target.
+        target = plan.num_boundary + 3
+        assert target <= small_powerlaw.num_edges
+        kept_u, kept_v = reconcile_ids(
+            plan.csr, p, empty, empty, plan.boundary_u, plan.boundary_v, stats,
+            target=target,
+        )
+        assert kept_u.shape[0] == target
+        keys = set(zip(np.minimum(kept_u, kept_v).tolist(), np.maximum(kept_u, kept_v).tolist()))
+        assert len(keys) == target
+        assert stats["boundary_admitted"] + stats["boundary_filled"] == target
+
+    def test_per_shard_rounding_shortfall_still_hits_target(self):
+        # Two 2-edge shards at p=0.7 keep round(1.4)=1 each; with the single
+        # boundary edge that is 3, but the whole graph wants round(3.5)=4.
+        g = Graph(nodes=range(6))
+        for u, v in [(0, 1), (0, 2), (0, 3), (1, 4), (4, 5)]:
+            g.add_edge(u, v)
+        result = ShardedShedder(
+            method="crr", num_shards=2, seed=1, importance="random"
+        ).reduce(g, 0.7)
+        assert result.reduced.num_edges == round_half_up(0.7 * g.num_edges)
+        assert result.delta <= result.stats["delta_bound"] + 1e-6

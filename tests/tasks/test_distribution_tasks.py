@@ -132,3 +132,8 @@ class TestHopPlotTask:
     def test_reachable_normalisation_tops_at_one(self, small_powerlaw):
         value = HopPlotTask(seed=0).compute(small_powerlaw).value
         assert value[max(value)] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("max_hops", [0, -3])
+    def test_max_hops_below_one_rejected_at_construction(self, max_hops):
+        with pytest.raises(ValueError, match=f"max_hops must be at least 1, got {max_hops}"):
+            HopPlotTask(max_hops=max_hops)
