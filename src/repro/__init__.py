@@ -66,11 +66,7 @@ from repro.tasks import (
     WeightedDegreeDistributionTask,
     all_tasks,
 )
-from repro.uncertain import (
-    WeightedBM2Shedder,
-    WeightedCRRShedder,
-    expected_degree_distance,
-)
+from repro.uncertain import expected_degree_distance
 
 __version__ = "1.0.0"
 
@@ -105,9 +101,7 @@ __all__ = [
     "ShardedShedder",
     "ShardPlan",
     "partition_graph",
-    # uncertain/weighted shedding
-    "WeightedCRRShedder",
-    "WeightedBM2Shedder",
+    # uncertain-graph objective
     "expected_degree_distance",
     # datasets
     "load_dataset",

@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional
 from repro.bench.experiments import ALL_EXPERIMENTS
 from repro.core.base import EdgeShedder, ReductionResult
 from repro.datasets.registry import DATASETS, load_dataset
-from repro.errors import ServiceError
+from repro.errors import ReductionError, ServiceError
 from repro.graph.graph import Graph
 from repro.graph.io import read_edge_list, read_edge_list_with_summary, write_edge_list
 from repro.tasks import all_tasks
@@ -63,7 +63,6 @@ def _make_shedder(
     sources: Optional[int],
     sparsify: Optional[str] = None,
     sparsify_beta: Optional[int] = None,
-    weighted: bool = False,
 ) -> EdgeShedder:
     from repro.service.request import make_shedder
 
@@ -74,7 +73,6 @@ def _make_shedder(
             num_sources=sources,
             sparsify=sparsify,
             sparsify_beta=sparsify_beta,
-            weighted=weighted,
         )
     except (ServiceError, ValueError) as error:
         raise SystemExit(str(error)) from None
@@ -196,16 +194,16 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_parser.add_argument(
         "--weighted",
         action="store_true",
-        help="probability-aware shedding (repro.uncertain): datasets get a "
-        "seeded weight field, --input files read weights from --weight-col "
-        "(default column 2), and crr/bm2 run their weighted engines",
+        help="load edge probabilities: datasets get a seeded weight field, "
+        "--input files read weights from --weight-col (default column 2); "
+        "crr/bm2 optimise expected degrees on any weighted input",
     )
     reduce_parser.add_argument(
         "--weight-col",
         type=int,
         default=None,
         help="0-based column holding edge probabilities in --input "
-        "(implies nothing about the shedder; combine with --weighted)",
+        "(crr/bm2 then optimise expected degrees; --shards rejects weights)",
     )
 
     evaluate_parser = sub.add_parser("evaluate", help="reduce, then run evaluation tasks")
@@ -449,9 +447,6 @@ def _shard_stats_dict(stats: Dict[str, Any]) -> Dict[str, Any]:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     if args.shards is not None:
-        if args.weighted:
-            raise SystemExit("--weighted cannot combine with --shards "
-                             "(the sharded runner is weight-blind)")
         shedder = _make_sharded_shedder(args)
     else:
         shedder = _make_shedder(
@@ -460,9 +455,12 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             args.sources,
             sparsify=args.sparsify,
             sparsify_beta=args.sparsify_beta,
-            weighted=args.weighted,
         )
-    result = shedder.reduce(graph, args.p)
+    try:
+        result = shedder.reduce(graph, args.p)
+    except ReductionError as error:
+        # e.g. --shards on a weighted graph, or an input with no edges.
+        raise SystemExit(str(error)) from None
     validation_ok = True
     validation_text = None
     if args.validate:

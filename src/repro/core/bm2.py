@@ -24,12 +24,20 @@ Zero-gain edges: Algorithm 2 admits them (``gain ≥ 0``) but the paper's
 Example 2 notes a zero-gain head "can be selected or discarded according to
 user's preference" — the ``accept_zero_gain`` flag (default ``False``,
 matching the example's outcome) decides.
+
+Uncertain graphs: when the input carries edge probabilities
+(``graph.csr().is_weighted``) both phases run in expected-degree mass —
+capacities round ``p·E[deg]``, Phase 1 admits an edge when both endpoints
+can absorb its probability, and Phase 2 runs the weighted repair heap
+(:func:`weighted_bipartite_repair_ids`).  A deterministic graph is the
+all-ones case, and an all-ones weight field reproduces the unweighted run
+bit for bit.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -474,8 +482,33 @@ def weighted_bipartite_repair_ids(
     )
 
 
+def check_sparsify_args(sparsify: str, sparsify_beta: Optional[int]) -> None:
+    """Reject an unknown ``sparsify`` mode or a non-integer / non-positive ``β``.
+
+    Shared by :class:`BM2Shedder` and the sharded runner, so a bad value
+    fails in the constructor, naming itself, instead of being truncated
+    (``2.5`` → 2, ``True`` → 1) or failing deep in the repair.
+    """
+    if sparsify not in ("off", "edcs"):
+        raise ValueError(f"sparsify must be 'off' or 'edcs', got {sparsify!r}")
+    if sparsify_beta is not None and (
+        not isinstance(sparsify_beta, (int, np.integer))
+        or isinstance(sparsify_beta, bool)
+        or sparsify_beta < 1
+    ):
+        raise ValueError(
+            f"sparsify_beta must be a positive integer, got {sparsify_beta!r}"
+        )
+
+
 class BM2Shedder(EdgeShedder):
     """Algorithm 2: rounded b-matching plus bipartite deficit repair.
+
+    Runs :func:`bm2_reduce_ids` over the graph's CSR snapshot.  On a graph
+    with edge probabilities both phases work in expected-degree mass and
+    the repair is the weighted heap (``stats["weighted"]`` is ``True``,
+    ``stats["repair_engine"]`` is ``"weighted-heap"``); otherwise Phase 2
+    is the bucketed repair (``"bucket"``).
 
     Args:
         rounding: capacity rounding rule — ``"half_up"`` (paper's nearest
@@ -508,10 +541,7 @@ class BM2Shedder(EdgeShedder):
             raise ValueError(
                 f"rounding must be one of {sorted(_ROUNDING_RULES)}, got {rounding!r}"
             )
-        if sparsify not in ("off", "edcs"):
-            raise ValueError(f"sparsify must be 'off' or 'edcs', got {sparsify!r}")
-        if sparsify_beta is not None and sparsify_beta < 1:
-            raise ValueError(f"sparsify_beta must be positive, got {sparsify_beta}")
+        check_sparsify_args(sparsify, sparsify_beta)
         self.rounding = rounding
         self.accept_zero_gain = accept_zero_gain
         self.shuffle_edges = shuffle_edges
@@ -557,7 +587,6 @@ def bm2_reduce_ids(
     seed: RandomState = None,
     sparsify: str = "off",
     sparsify_beta: "int | None" = None,
-    weighted: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Both BM2 phases over a CSR snapshot, returning kept edge ids.
 
@@ -574,18 +603,19 @@ def bm2_reduce_ids(
     :func:`repro.core.sparsify.edcs_beta`) — candidate and selected edges
     stay int64 arrays end to end.
 
-    ``weighted=True`` (uncertain graphs, :mod:`repro.uncertain`) runs the
-    whole algorithm in expected-degree mass: capacities round
+    A weighted snapshot (uncertain graphs, :mod:`repro.uncertain`) runs
+    the whole algorithm in expected-degree mass: capacities round
     ``p·E[deg]``, Phase 1 admits edges by mass
     (:func:`greedy_weighted_b_matching_ids`), groups come from a weighted
     tracker's discrepancies, and Phase 2 runs the weighted repair heap
-    (:func:`weighted_bipartite_repair_ids`).  With
-    all weights exactly 1.0 every stage degenerates bit-identically, so
-    the kept edge arrays equal the unweighted call's.
+    (:func:`weighted_bipartite_repair_ids`); ``stats["weighted"]`` marks
+    the run.  With all weights exactly 1.0 every stage degenerates
+    bit-identically, so the kept edge arrays equal the unweighted call's.
     """
-    if sparsify not in ("off", "edcs"):
-        raise ValueError(f"sparsify must be 'off' or 'edcs', got {sparsify!r}")
+    check_sparsify_args(sparsify, sparsify_beta)
+    weighted = csr.is_weighted
     if weighted:
+        stats["weighted"] = True
         capacities = _ROUNDING_RULES[rounding](
             p * csr.weighted_degree_array()
         ).astype(np.float64)

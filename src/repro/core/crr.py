@@ -21,11 +21,20 @@ Faithfulness notes:
 * For large graphs, exact Brandes betweenness is the bottleneck; pass
   ``num_betweenness_sources`` to switch Phase 1 to the sampled estimator
   (the resource-constrained operating mode).
+* On an uncertain graph (edges carry existence probabilities, so
+  ``graph.csr().is_weighted``) Phase 2 minimises the *expected-degree*
+  discrepancy instead: every swap moves its endpoints by the edges'
+  probabilities.  A deterministic graph is the case where every probability
+  is 1, and an all-ones weight field reproduces the unweighted run bit for
+  bit.  Phase 1's ranking stays topological either way.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+import math
+import numbers
+import time
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,7 +44,7 @@ from repro.core.discrepancy import (
     round_half_up,
     weighted_swap_change_from_dis,
 )
-from repro.graph.centrality import top_edge_ids_by_betweenness, top_edges_by_betweenness
+from repro.graph.centrality import top_edge_ids_by_betweenness, top_positions_by_score
 from repro.graph.graph import Edge, Graph
 from repro.rng import RandomState, ensure_rng
 
@@ -102,8 +111,36 @@ class IndexedEdgePool:
         return list(self._items)
 
 
+
+
+def check_rewiring_args(steps: Optional[int], steps_factor: float) -> None:
+    """Reject rewiring-length arguments ``[x·P]`` could not turn into a count.
+
+    Shared by :class:`CRRShedder` and the sharded runner, so a bad value
+    fails in the constructor, naming itself, rather than deep in
+    :meth:`~repro.core.base.EdgeShedder.reduce`.
+    """
+    if steps is not None and (
+        not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 0
+    ):
+        raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
+    if (
+        not isinstance(steps_factor, numbers.Real)
+        or isinstance(steps_factor, bool)
+        or not math.isfinite(steps_factor)
+        or steps_factor < 0
+    ):
+        raise ValueError(
+            f"steps_factor must be a finite non-negative number, got {steps_factor!r}"
+        )
+
+
 class CRRShedder(EdgeShedder):
     """Algorithm 1: betweenness-ranked selection + Δ-reducing rewiring.
+
+    Runs :func:`crr_reduce_ids` over the graph's CSR snapshot; on a graph
+    with edge probabilities the rewiring minimises expected-degree
+    discrepancy (``stats["weighted"]`` is then ``True``).
 
     Args:
         steps: explicit number of rewiring iterations.  ``None`` (default)
@@ -130,10 +167,7 @@ class CRRShedder(EdgeShedder):
         importance: "str | ImportanceFn" = "betweenness",
         seed: RandomState = None,
     ) -> None:
-        if steps is not None and steps < 0:
-            raise ValueError(f"steps must be non-negative, got {steps}")
-        if steps_factor < 0:
-            raise ValueError(f"steps_factor must be non-negative, got {steps_factor}")
+        check_rewiring_args(steps, steps_factor)
         if isinstance(importance, str) and importance not in ("betweenness", "random"):
             raise ValueError(
                 f"importance must be 'betweenness', 'random', or a callable,"
@@ -146,167 +180,141 @@ class CRRShedder(EdgeShedder):
         self._seed = seed
 
     def _reduce(self, graph: Graph, p: float) -> Tuple[Graph, Dict[str, Any]]:
-        rng = ensure_rng(self._seed)
-        target = round_half_up(p * graph.num_edges)
-        steps = self.steps
-        if steps is None:
-            steps = round_half_up(self.steps_factor * p * graph.num_edges)
-
+        csr = graph.csr()
+        importance = self.importance
+        scoring_seconds = 0.0
+        if not isinstance(importance, str):
+            started = time.perf_counter()
+            importance = _scan_order_scores(graph, importance)
+            scoring_seconds = time.perf_counter() - started
         stats: Dict[str, Any] = {
-            "target_edges": target,
-            "steps": steps,
             "initial_ranking": (
                 self.importance if isinstance(self.importance, str) else "custom"
             ),
         }
-        with timed_phase(stats, "ranking_seconds"):
-            kept_edges = self._initial_edges(graph, target, rng)
-        with timed_phase(stats, "rewiring_seconds"):
-            reduced = self._rewire(graph, p, kept_edges, steps, rng, stats)
-        return reduced, stats
-
-    def _rewire(
-        self,
-        graph: Graph,
-        p: float,
-        kept_edges: List[Edge],
-        steps: int,
-        rng: np.random.Generator,
-        stats: Dict[str, Any],
-    ) -> Graph:
-        """CSR-native rewiring: array pools, blocked draws, batched evals.
-
-        The kept/shed pools are flat endpoint-id arrays mirroring
-        :class:`IndexedEdgePool`'s swap-pop layout, so sampled positions
-        refer to the same edges as in the scalar loop of Algorithm 1;
-        swap candidates are pre-drawn in blocks with one broadcast
-        ``rng.integers`` call per block, which produces the exact bit
-        stream of the scalar loop's alternating draws; Δ-changes are
-        evaluated in adaptive vectorized chunks and every acceptance
-        re-evaluates from the next step, so each accept/reject decision is
-        made from the same tracker state the scalar loop would see.  The
-        accepted swap sequence — and hence the reduced graph — is
-        identical to the scalar oracle's (``tests/oracles/crr.py``).
-        """
-        csr = graph.csr()
-        index_of = csr.index_of
-
-        count = len(kept_edges)
-        kept_u = np.fromiter((index_of[u] for u, _ in kept_edges), np.int64, count=count)
-        kept_v = np.fromiter((index_of[v] for _, v in kept_edges), np.int64, count=count)
-        kept_u, kept_v = crr_rewire_ids(csr, p, kept_u, kept_v, steps, rng, stats)
-        return csr.subgraph_from_edge_ids(kept_u, kept_v)
-
-    @staticmethod
-    def _run_swaps(
-        tracker: ArrayDegreeTracker,
-        rng: np.random.Generator,
-        kept_u: np.ndarray,
-        kept_v: np.ndarray,
-        shed_u: np.ndarray,
-        shed_v: np.ndarray,
-        steps: int,
-    ) -> int:
-        """Run ``steps`` swap attempts over the array pools; return accepts."""
-        pool_sizes = np.tile(
-            np.array([kept_u.shape[0], shed_u.shape[0]], dtype=np.int64), _DRAW_BLOCK
+        kept_u, kept_v = crr_reduce_ids(
+            csr,
+            p,
+            ensure_rng(self._seed),
+            stats,
+            steps=self.steps,
+            steps_factor=self.steps_factor,
+            importance=importance,
+            num_sources=self.num_betweenness_sources,
         )
-        last = kept_u.shape[0] - 1
-        accepted = 0
-        done = 0
-        chunk = _MIN_CHUNK
-        weighted = tracker.weighted
-        if weighted:
-            # Pool weights are static per edge: resolve them once and mirror
-            # the swap-pop bookkeeping below, instead of a searchsorted
-            # lookup per candidate chunk.  The stored doubles are the same
-            # ones ``swap_change_ids`` would fetch, so scores are identical.
-            kept_w = tracker.edge_weights_ids(kept_u, kept_v)
-            shed_w = tracker.edge_weights_ids(shed_u, shed_v)
-            dis = tracker.dis_array()  # live view; apply_swap_ids updates it
-        while done < steps:
-            block = min(_DRAW_BLOCK, steps - done)
-            # One broadcast call = the scalar loop's 2·block alternating
-            # integers(P)/integers(S) draws, bit for bit.
-            draws = rng.integers(0, pool_sizes[: 2 * block])
-            kept_idx = draws[0::2]
-            shed_idx = draws[1::2]
-            pos = 0
-            while pos < block:
-                end = min(pos + chunk, block)
-                out_u = kept_u[kept_idx[pos:end]]
-                out_v = kept_v[kept_idx[pos:end]]
-                in_u = shed_u[shed_idx[pos:end]]
-                in_v = shed_v[shed_idx[pos:end]]
-                if weighted:
-                    change = weighted_swap_change_from_dis(
-                        dis, out_u, out_v, in_u, in_v,
-                        kept_w[kept_idx[pos:end]],
-                        shed_w[shed_idx[pos:end]],
-                    )
-                else:
-                    change = tracker.swap_change_ids(out_u, out_v, in_u, in_v)
-                accept = change < -_MIN_IMPROVEMENT
-                if not accept.any():
-                    # Every decision in the chunk was made from live state.
-                    pos = end
-                    chunk = min(chunk * 2, _MAX_CHUNK)
-                    continue
-                # Decisions are only valid up to the first acceptance: apply
-                # it, then re-evaluate the tail from the mutated state.
-                hit = int(np.argmax(accept))
-                ou, ov = int(out_u[hit]), int(out_v[hit])
-                iu, iv = int(in_u[hit]), int(in_v[hit])
-                tracker.apply_swap_ids(ou, ov, iu, iv)
-                i = int(kept_idx[pos + hit])
-                j = int(shed_idx[pos + hit])
-                # Mirror IndexedEdgePool's swap-pop bookkeeping: the kept
-                # pool's last edge backfills slot i, the incoming edge takes
-                # the last slot, and the outgoing edge lands in shed slot j.
-                kept_u[i] = kept_u[last]
-                kept_v[i] = kept_v[last]
-                kept_u[last] = iu
-                kept_v[last] = iv
-                shed_u[j] = ou
-                shed_v[j] = ov
-                if weighted:
-                    w_out_edge = float(kept_w[i])
-                    kept_w[i] = kept_w[last]
-                    kept_w[last] = shed_w[j]
-                    shed_w[j] = w_out_edge
-                accepted += 1
-                pos += hit + 1
-                chunk = max(_MIN_CHUNK, chunk // 2)
-            done += block
-        return accepted
+        # Scoring a custom callable is part of the ranking phase.
+        stats["ranking_seconds"] += scoring_seconds
+        return csr.subgraph_from_edge_ids(kept_u, kept_v), stats
 
-    def _initial_edges(self, graph: Graph, target: int, rng: np.random.Generator) -> List[Edge]:
-        """Phase 1: the [P]-edge initial selection."""
-        target = min(target, graph.num_edges)
-        if self.importance == "random":
-            edges = list(graph.edges())
-            picks = rng.choice(len(edges), size=target, replace=False)
-            return [edges[i] for i in picks]
-        if self.importance == "betweenness":
-            return top_edges_by_betweenness(
-                graph,
-                target,
-                num_sources=self.num_betweenness_sources,
-                seed=rng,
-                tie_seed=rng,
-            )
-        # Custom importance: rank by the caller's scores, random ties.
-        scores = dict(self.importance(graph))
-        missing = [edge for edge in graph.edges() if edge not in scores]
-        if missing:
-            raise ValueError(
-                f"importance callable left {len(missing)} edges unscored"
-                f" (e.g. {missing[0]!r}); score every canonical edge"
-            )
-        edges = list(scores)
-        rng.shuffle(edges)
-        edges.sort(key=lambda edge: scores[edge], reverse=True)
-        return edges[:target]
+
+def _scan_order_scores(graph: Graph, importance: ImportanceFn) -> np.ndarray:
+    """A custom importance callable's scores as a ``float64[m]`` scan-order array."""
+    scores = dict(importance(graph))
+    missing = [edge for edge in graph.edges() if edge not in scores]
+    if missing:
+        raise ValueError(
+            f"importance callable left {len(missing)} edges unscored"
+            f" (e.g. {missing[0]!r}); score every canonical edge"
+        )
+    return np.fromiter(
+        (scores[edge] for edge in graph.edges()), dtype=np.float64, count=graph.num_edges
+    )
+
+
+def _run_swaps(
+    tracker: ArrayDegreeTracker,
+    rng: np.random.Generator,
+    kept_u: np.ndarray,
+    kept_v: np.ndarray,
+    shed_u: np.ndarray,
+    shed_v: np.ndarray,
+    steps: int,
+) -> int:
+    """Run ``steps`` swap attempts over the array pools; return accepts.
+
+    The kept/shed pools are flat endpoint-id arrays mirroring
+    :class:`IndexedEdgePool`'s swap-pop layout, so sampled positions
+    refer to the same edges as in the scalar loop of Algorithm 1; swap
+    candidates are pre-drawn in blocks with one broadcast
+    ``rng.integers`` call per block, which produces the exact bit stream
+    of the scalar loop's alternating draws; Δ-changes are evaluated in
+    adaptive vectorized chunks and every acceptance re-evaluates from the
+    next step, so each accept/reject decision is made from the same
+    tracker state the scalar loop would see.  The accepted swap sequence
+    — and hence the reduced graph — is identical to the scalar oracle's
+    (``tests/oracles/crr.py``).
+    """
+    pool_sizes = np.tile(
+        np.array([kept_u.shape[0], shed_u.shape[0]], dtype=np.int64), _DRAW_BLOCK
+    )
+    last = kept_u.shape[0] - 1
+    accepted = 0
+    done = 0
+    chunk = _MIN_CHUNK
+    weighted = tracker.weighted
+    if weighted:
+        # Pool weights are static per edge: resolve them once and mirror
+        # the swap-pop bookkeeping below, instead of a searchsorted
+        # lookup per candidate chunk.  The stored doubles are the same
+        # ones ``swap_change_ids`` would fetch, so scores are identical.
+        kept_w = tracker.edge_weights_ids(kept_u, kept_v)
+        shed_w = tracker.edge_weights_ids(shed_u, shed_v)
+        dis = tracker.dis_array()  # live view; apply_swap_ids updates it
+    while done < steps:
+        block = min(_DRAW_BLOCK, steps - done)
+        # One broadcast call = the scalar loop's 2·block alternating
+        # integers(P)/integers(S) draws, bit for bit.
+        draws = rng.integers(0, pool_sizes[: 2 * block])
+        kept_idx = draws[0::2]
+        shed_idx = draws[1::2]
+        pos = 0
+        while pos < block:
+            end = min(pos + chunk, block)
+            out_u = kept_u[kept_idx[pos:end]]
+            out_v = kept_v[kept_idx[pos:end]]
+            in_u = shed_u[shed_idx[pos:end]]
+            in_v = shed_v[shed_idx[pos:end]]
+            if weighted:
+                change = weighted_swap_change_from_dis(
+                    dis, out_u, out_v, in_u, in_v,
+                    kept_w[kept_idx[pos:end]],
+                    shed_w[shed_idx[pos:end]],
+                )
+            else:
+                change = tracker.swap_change_ids(out_u, out_v, in_u, in_v)
+            accept = change < -_MIN_IMPROVEMENT
+            if not accept.any():
+                # Every decision in the chunk was made from live state.
+                pos = end
+                chunk = min(chunk * 2, _MAX_CHUNK)
+                continue
+            # Decisions are only valid up to the first acceptance: apply
+            # it, then re-evaluate the tail from the mutated state.
+            hit = int(np.argmax(accept))
+            ou, ov = int(out_u[hit]), int(out_v[hit])
+            iu, iv = int(in_u[hit]), int(in_v[hit])
+            tracker.apply_swap_ids(ou, ov, iu, iv)
+            i = int(kept_idx[pos + hit])
+            j = int(shed_idx[pos + hit])
+            # Mirror IndexedEdgePool's swap-pop bookkeeping: the kept
+            # pool's last edge backfills slot i, the incoming edge takes
+            # the last slot, and the outgoing edge lands in shed slot j.
+            kept_u[i] = kept_u[last]
+            kept_v[i] = kept_v[last]
+            kept_u[last] = iu
+            kept_v[last] = iv
+            shed_u[j] = ou
+            shed_v[j] = ov
+            if weighted:
+                w_out_edge = float(kept_w[i])
+                kept_w[i] = kept_w[last]
+                kept_w[last] = shed_w[j]
+                shed_w[j] = w_out_edge
+            accepted += 1
+            pos += hit + 1
+            chunk = max(_MIN_CHUNK, chunk // 2)
+        done += block
+    return accepted
 
 
 # ----------------------------------------------------------------------
@@ -318,25 +326,30 @@ class CRRShedder(EdgeShedder):
 def crr_initial_ids(
     csr: "CSRAdjacency",
     target: int,
-    importance: str,
+    importance: Union[str, np.ndarray],
     num_sources: Optional[int],
     rng: np.random.Generator,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Phase 1 over a CSR snapshot: the [P]-edge initial selection in id space.
 
-    Consumes the RNG exactly as :meth:`CRRShedder._initial_edges` does for
-    the same ``importance`` setting (``rng.choice`` over the same edge
-    count / identical shuffle-and-sort inside the id-space top-k), so a
-    whole-graph call selects the same edges the label path selects.
+    ``importance`` is ``"betweenness"``, ``"random"`` (``rng.choice`` over
+    the edge count) or a ``float64[m]`` array of scores in
+    :meth:`~repro.graph.csr.CSRAdjacency.edge_list_ids` order.  Scores —
+    computed betweenness or given — are ranked by
+    :func:`~repro.graph.centrality.top_positions_by_score`: a seeded
+    shuffle, then a stable descending sort.
     """
     target = min(target, csr.num_edges)
-    if importance == "random":
-        edge_u, edge_v = csr.edge_list_ids()
-        picks = rng.choice(edge_u.shape[0], size=target, replace=False)
-        return edge_u[picks], edge_v[picks]
-    return top_edge_ids_by_betweenness(
-        csr, target, num_sources=num_sources, seed=rng, tie_seed=rng
-    )
+    edge_u, edge_v = csr.edge_list_ids()
+    if isinstance(importance, str):
+        if importance == "random":
+            picks = rng.choice(edge_u.shape[0], size=target, replace=False)
+            return edge_u[picks], edge_v[picks]
+        return top_edge_ids_by_betweenness(
+            csr, target, num_sources=num_sources, seed=rng, tie_seed=rng
+        )
+    top = top_positions_by_score(importance, target, rng)
+    return edge_u[top], edge_v[top]
 
 
 def crr_rewire_ids(
@@ -347,7 +360,6 @@ def crr_rewire_ids(
     steps: int,
     rng: np.random.Generator,
     stats: Dict[str, Any],
-    weighted: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Phase 2 over a CSR snapshot: the array rewiring loop in id space.
 
@@ -356,15 +368,15 @@ def crr_rewire_ids(
     degrees, so feeding a :class:`repro.graph.csr.CSRView` rewires a shard
     against its interior-degree expectations.
 
-    ``weighted=True`` swaps against *expected-degree mass* instead of edge
-    counts (the uncertain-graph objective, :mod:`repro.uncertain`).  The
-    loop structure, RNG consumption and pool bookkeeping are untouched —
-    only the tracker's Δ-change arithmetic changes — so with all weights
+    A weighted snapshot swaps against *expected-degree mass* instead of
+    edge counts (the uncertain-graph objective, :mod:`repro.uncertain`).
+    The loop structure, RNG consumption and pool bookkeeping are untouched
+    — only the tracker's Δ-change arithmetic changes — so with all weights
     exactly 1.0 the accepted swap sequence is bit-identical to the
     unweighted run.
     """
     n = csr.num_nodes
-    tracker = ArrayDegreeTracker.from_csr(csr, p, weighted=weighted)
+    tracker = ArrayDegreeTracker.from_csr(csr, p, weighted=csr.is_weighted)
     tracker.add_edges_ids(kept_u, kept_v)
 
     # Shed pool = edge-scan order minus the kept set (the positions an
@@ -379,7 +391,7 @@ def crr_rewire_ids(
     attempted = 0
     if kept_u.shape[0] and shed_u.shape[0]:
         attempted = steps
-        accepted = CRRShedder._run_swaps(tracker, rng, kept_u, kept_v, shed_u, shed_v, steps)
+        accepted = _run_swaps(tracker, rng, kept_u, kept_v, shed_u, shed_v, steps)
 
     stats["attempted_swaps"] = attempted
     stats["accepted_swaps"] = accepted
@@ -394,31 +406,28 @@ def crr_reduce_ids(
     stats: Dict[str, Any],
     steps: Optional[int] = None,
     steps_factor: float = 10.0,
-    importance: str = "betweenness",
+    importance: Union[str, np.ndarray] = "betweenness",
     num_sources: Optional[int] = None,
-    weighted: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Full CRR (rank + rewire) over a CSR snapshot, returning kept edge ids.
 
-    The id-space counterpart of :meth:`CRRShedder._reduce`: identical
-    target/steps arithmetic, identical RNG consumption.  The per-shard
-    runner calls this on each :class:`CSRView`; calling it on a whole-graph
-    snapshot reproduces ``CRRShedder``'s kept edge arrays bit for bit.
-
-    ``weighted=True`` rewires against expected-degree mass (see
-    :func:`crr_rewire_ids`); Phase 1's betweenness ranking stays purely
-    topological either way — probabilities shape the objective, not the
-    centrality signal.
+    The engine behind :class:`CRRShedder`; the per-shard runner calls it
+    on each :class:`CSRView`.  ``importance`` is as for
+    :func:`crr_initial_ids`.  A weighted snapshot rewires against
+    expected-degree mass (see :func:`crr_rewire_ids`) and marks
+    ``stats["weighted"]``; Phase 1's ranking stays purely topological
+    either way — probabilities shape the objective, not the centrality
+    signal.
     """
     target = round_half_up(p * csr.num_edges)
     if steps is None:
         steps = round_half_up(steps_factor * p * csr.num_edges)
     stats["target_edges"] = target
     stats["steps"] = steps
+    if csr.is_weighted:
+        stats["weighted"] = True
     with timed_phase(stats, "ranking_seconds"):
         kept_u, kept_v = crr_initial_ids(csr, target, importance, num_sources, rng)
     with timed_phase(stats, "rewiring_seconds"):
-        kept_u, kept_v = crr_rewire_ids(
-            csr, p, kept_u, kept_v, steps, rng, stats, weighted=weighted
-        )
+        kept_u, kept_v = crr_rewire_ids(csr, p, kept_u, kept_v, steps, rng, stats)
     return kept_u, kept_v

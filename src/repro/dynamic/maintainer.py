@@ -76,6 +76,11 @@ class BatchReport:
 class IncrementalShedder:
     """Maintain ``G' ⊆ G`` and its ``Δ`` under an edge churn stream.
 
+    The tracker, repair and drift bound count edges, so ``graph`` must be
+    unweighted: CRR/BM2 would seed a weighted graph with the
+    expected-degree objective, which the count-based maintenance would
+    then silently mix with its own.
+
     Args:
         graph: the live original graph.  The maintainer takes ownership —
             apply all further mutations through :meth:`insert` /
@@ -109,6 +114,11 @@ class IncrementalShedder:
         seed: RandomState = None,
     ) -> None:
         self._p = validate_ratio(p)
+        if graph.is_weighted:
+            raise ReductionError(
+                "dynamic maintenance needs an unweighted graph: its tracker,"
+                " repair and drift bound count edges, not probability mass"
+            )
         self._graph = graph
         self._shedder = shedder if shedder is not None else BM2Shedder()
         self._rebuild_shedder = (

@@ -140,13 +140,26 @@ def top_edge_ids_by_betweenness(
     edge_u, edge_v = csr.edge_list_ids()
     lex_u, lex_v = csr.canonical_edge_ids()
     positions = np.searchsorted(lex_u * n + lex_v, edge_u * n + edge_v)
-    score_list = totals[positions].tolist()
-    order = list(range(edge_u.shape[0]))
-    rng = ensure_rng(tie_seed)
+    top = top_positions_by_score(totals[positions], count, ensure_rng(tie_seed))
+    return edge_u[top], edge_v[top]
+
+
+def top_positions_by_score(
+    scores: np.ndarray, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Positions of the ``count`` highest ``scores``, ties broken randomly.
+
+    The paper specifies that "edges of the same importance are selected
+    randomly": the positions are shuffled with ``rng``, then stable-sorted
+    by descending score.  The shuffle permutes a Python list of
+    ``len(scores)`` positions, which consumes the same draws as shuffling
+    any other list of that length (e.g. a list of edge keys).
+    """
+    score_list = scores.tolist()
+    order = list(range(len(score_list)))
     rng.shuffle(order)
     order.sort(key=score_list.__getitem__, reverse=True)
-    top = np.asarray(order[:count], dtype=np.int64)
-    return edge_u[top], edge_v[top]
+    return np.asarray(order[:count], dtype=np.int64)
 
 
 def top_edges_by_betweenness(

@@ -30,7 +30,6 @@ from repro.core.random_shed import DegreeProportionalShedder, RandomShedder
 from repro.errors import ServiceError
 from repro.graph.graph import Graph
 from repro.rng import check_seed
-from repro.uncertain.shedders import WeightedBM2Shedder, WeightedCRRShedder
 
 __all__ = [
     "KNOWN_METHODS",
@@ -51,16 +50,15 @@ def make_shedder(
     num_sources: Optional[int] = None,
     sparsify: Optional[str] = None,
     sparsify_beta: Optional[int] = None,
-    weighted: bool = False,
 ) -> EdgeShedder:
     """Build the shedder for a method key.
 
     ``num_sources`` switches CRR/UDS to sampled betweenness.  ``sparsify`` /
     ``sparsify_beta`` configure BM2's EDCS candidate pruning (``bm2``
     defaults to ``"off"``, ``bm2-sparse`` to ``"edcs"``; setting them on any
-    other method is an error).  ``weighted`` swaps CRR/BM2 for their
-    probability-aware :mod:`repro.uncertain` variants (other methods have
-    no weighted form).  Raises :class:`ServiceError`
+    other method is an error).  CRR and BM2 optimise the expected-degree
+    objective whenever the graph they reduce carries edge probabilities;
+    the other methods are weight-blind.  Raises :class:`ServiceError`
     for unknown keys.
     """
     method = method.lower()
@@ -68,26 +66,6 @@ def make_shedder(
         sparsify is not None or sparsify_beta is not None
     ):
         raise ServiceError(f"sparsify options require bm2/bm2-sparse, got {method!r}")
-    if weighted:
-        if method == "crr":
-            return WeightedCRRShedder(seed=seed, num_betweenness_sources=num_sources)
-        if method == "bm2":
-            return WeightedBM2Shedder(
-                seed=seed,
-                sparsify=sparsify if sparsify is not None else "off",
-                sparsify_beta=sparsify_beta,
-            )
-        if method == "bm2-sparse":
-            return WeightedBM2Shedder(
-                seed=seed,
-                sparsify=sparsify if sparsify is not None else "edcs",
-                sparsify_beta=sparsify_beta,
-            )
-        if method in KNOWN_METHODS:
-            raise ServiceError(f"method {method!r} has no weighted variant")
-        raise ServiceError(
-            f"unknown method {method!r} (expected one of {', '.join(KNOWN_METHODS)})"
-        )
     if method == "crr":
         return CRRShedder(seed=seed, num_betweenness_sources=num_sources)
     if method == "bm2":
@@ -158,7 +136,6 @@ class ReductionRequest:
     graph_ref: Optional[str] = None
     seed: int = 0
     num_sources: Optional[int] = None
-    weighted: bool = False
     priority: int = 0
     deadline_seconds: Optional[float] = None
     max_resident_edges: Optional[int] = None
@@ -172,8 +149,6 @@ class ReductionRequest:
             raise ServiceError(f"p must be in (0, 1), got {self.p!r}")
         if self.method.lower() not in KNOWN_METHODS:
             raise ServiceError(f"unknown method {self.method!r}")
-        if self.weighted and self.method.lower() not in ("crr", "bm2", "bm2-sparse"):
-            raise ServiceError(f"method {self.method!r} has no weighted variant")
         if self.deadline_seconds is not None and not (
             math.isfinite(self.deadline_seconds) and self.deadline_seconds >= 0
         ):
@@ -197,8 +172,7 @@ class ReductionRequest:
     def describe(self) -> str:
         where = self.graph_ref or "<inline graph>"
         tag = f" [{self.label}]" if self.label else ""
-        flavour = " weighted" if self.weighted else ""
-        return f"{self.method}{flavour} p={self.p:g} seed={self.seed} on {where}{tag}"
+        return f"{self.method} p={self.p:g} seed={self.seed} on {where}{tag}"
 
 
 @dataclass
@@ -245,7 +219,6 @@ class ServiceResult:
                 "method": self.request.method,
                 "p": self.request.p,
                 "seed": self.request.seed,
-                "weighted": self.request.weighted,
                 "graph_ref": self.request.graph_ref,
                 "priority": self.request.priority,
                 "deadline_seconds": self.request.deadline_seconds,

@@ -230,7 +230,7 @@ def _reduce_job(payload: Tuple) -> Tuple[np.ndarray, np.ndarray, float, float, D
     neighbour subsequences are preserved) — the property the array
     engines' bit-identity rests on.
     """
-    labels, u_ids, v_ids, edge_w, method, p, seed, num_sources, weighted = payload
+    labels, u_ids, v_ids, edge_w, method, p, seed, num_sources = payload
     graph = Graph(nodes=labels)
     if edge_w is None:
         for i, j in zip(u_ids.tolist(), v_ids.tolist()):
@@ -238,7 +238,7 @@ def _reduce_job(payload: Tuple) -> Tuple[np.ndarray, np.ndarray, float, float, D
     else:
         for i, j, w in zip(u_ids.tolist(), v_ids.tolist(), edge_w.tolist()):
             graph.add_edge(labels[i], labels[j], weight=w)
-    shedder = make_shedder(method, seed=seed, num_sources=num_sources, weighted=weighted)
+    shedder = make_shedder(method, seed=seed, num_sources=num_sources)
     result = shedder.reduce(graph, p)
     index_of = {node: idx for idx, node in enumerate(labels)}
     reduced_edges = list(result.reduced.edges())
@@ -289,18 +289,15 @@ class ProcessEngine:
         seed: Optional[int],
         num_sources: Optional[int] = None,
         timeout: Optional[float] = None,
-        weighted: bool = False,
     ) -> ReductionResult:
         """Run one reduction in the pool; raise on deadline expiry."""
         csr = graph.csr()
         u_ids, v_ids = csr.edge_list_ids()
-        # Weights ship whenever the graph carries them (weight-blind runs
-        # on weighted graphs still need worker-side Δ_E stats); ``weighted``
-        # additionally selects the probability-aware shedder.
+        # Weights ship whenever the graph carries them: the worker's
+        # rebuilt graph is then weighted too, so CRR/BM2 run the
+        # expected-degree objective there exactly as they would here.
         edge_w = csr.edge_weights_for(u_ids, v_ids) if csr.is_weighted else None
-        payload = (
-            csr.labels, u_ids, v_ids, edge_w, method, p, seed, num_sources, weighted,
-        )
+        payload = (csr.labels, u_ids, v_ids, edge_w, method, p, seed, num_sources)
         task = self._ensure_pool().apply_async(_reduce_job, (payload,))
         try:
             out_u, out_v, delta, elapsed, stats, method_name = task.get(timeout)

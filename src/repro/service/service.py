@@ -57,6 +57,9 @@ __all__ = ["SheddingService", "resolve_graph_ref"]
 #: small enough that full-size com-livejournal jobs degrade.
 DEFAULT_EDGE_BUDGET = 5_000_000
 
+#: Methods ``mode="sharded"`` routes through the sharded runner.
+_SHARDED_METHODS = ("crr", "bm2", "bm2-sparse")
+
 
 class SheddingService:
     """In-process shedding service: budgets, scheduling, artifact cache.
@@ -140,7 +143,7 @@ class SheddingService:
             request.method,
             request.p,
             request.seed,
-            variant=self._variant(request, request.method),
+            variant=self._variant(request, graph, request.method),
         )
         cached, hit = self.store.get_with_tier(key, graph)
         if cached is not None:
@@ -375,10 +378,6 @@ class SheddingService:
         if request.deadline_seconds is not None:
             timeout = max(request.deadline_seconds - (time.perf_counter() - job.enqueued_at), 0.05)
 
-        # Degraded fallbacks may land on a method with no weighted variant
-        # (e.g. random); those run weight-blind — the trail says why.
-        runs_weighted = request.weighted and method in ("crr", "bm2", "bm2-sparse")
-
         if self._engine is not None:
             try:
                 result = self._engine.execute(
@@ -388,7 +387,6 @@ class SheddingService:
                     request.seed,
                     num_sources=request.num_sources,
                     timeout=timeout,
-                    weighted=runs_weighted,
                 )
             except JobTimeoutError:
                 # Terminal fallback: a cheap uniform reduction beats no
@@ -403,7 +401,7 @@ class SheddingService:
                 result = make_shedder(fallback, seed=request.seed).reduce(
                     graph, request.p
                 )
-        elif self._runs_sharded(method, request):
+        elif self._runs_sharded(method, graph):
             from repro.shard import ShardedShedder
 
             shedder = ShardedShedder(
@@ -417,11 +415,13 @@ class SheddingService:
             metadata["num_shards"] = self.num_shards
             result = shedder.reduce(graph, request.p)
         else:
+            if self.mode == "sharded" and method in _SHARDED_METHODS:
+                # Only a weighted graph keeps a shardable method off the
+                # sharded runner; say so rather than fall back silently.
+                metadata["unsharded"] = "weighted graph"
+                self.metrics.counter("unsharded_weighted").inc()
             shedder = make_shedder(
-                method,
-                seed=request.seed,
-                num_sources=request.num_sources,
-                weighted=runs_weighted,
+                method, seed=request.seed, num_sources=request.num_sources
             )
             result = shedder.reduce(graph, request.p)
 
@@ -451,23 +451,24 @@ class SheddingService:
             method,
             job.request.p,
             job.request.seed,
-            variant=self._variant(job.request, method),
+            variant=self._variant(job.request, job.graph, method),
         )
 
-    def _runs_sharded(self, method: str, request: ReductionRequest) -> bool:
+    def _runs_sharded(self, method: str, graph: Graph) -> bool:
         """Whether this method executes through the sharded runner here.
 
-        Only the paper kernels shard.
+        Only the paper kernels shard, and only on unweighted graphs: the
+        boundary reconcile and its Δ bound count edges, not probability
+        mass, so a weighted graph runs the whole-graph engine
+        (:meth:`_execute` records that route in the result's metadata).
         """
         return (
             self.mode == "sharded"
-            and method in ("crr", "bm2", "bm2-sparse")
-            # The sharded runner is weight-blind; weighted jobs run the
-            # whole-graph probability-aware engines instead.
-            and not request.weighted
+            and method in _SHARDED_METHODS
+            and not graph.is_weighted
         )
 
-    def _variant(self, request: ReductionRequest, method: str) -> str:
+    def _variant(self, request: ReductionRequest, graph: Graph, method: str) -> str:
         """Cache-key variant for ``method`` as this service would run it.
 
         Sharded execution produces a different (boundary-reconciled)
@@ -475,8 +476,8 @@ class SheddingService:
         served from — or poison — the unsharded cache entries.  Keyed per
         executed method because degraded fallbacks run unsharded.
         """
-        variant = _variant_of(request)
-        if self._runs_sharded(method, request):
+        variant = _variant_of(request, graph)
+        if self._runs_sharded(method, graph):
             tag = f"shards={self.num_shards}"
             variant = f"{variant},{tag}" if variant else tag
         return variant
@@ -528,14 +529,17 @@ class SheddingService:
         return graph
 
 
-def _variant_of(request: ReductionRequest) -> str:
+def _variant_of(request: ReductionRequest, graph: Graph) -> str:
     """Extra cache-key discriminators beyond (method, p, seed)."""
     tags = []
     if request.num_sources is not None:
         tags.append(f"sources={request.num_sources}")
-    if request.weighted:
-        # Weight-aware and weight-blind runs on the same weighted graph
-        # share digest/method/p/seed — the tag keeps their artifacts apart.
+    if graph.is_weighted:
+        # Weighted graphs always run the expected-degree objective.  The
+        # tag keeps their artifacts on the tokens they were persisted
+        # under, and keeps untagged weight-blind artifacts of the same
+        # digest/method/p/seed (written by older releases) from being
+        # served for them.
         tags.append("weighted")
     return ",".join(tags)
 

@@ -36,6 +36,11 @@ reconciliation phase is a no-op — the reduced graph equals the
 whole-graph ``CRRShedder``/``BM2Shedder`` result exactly.  Each
 shard seeds a fresh generator from the same ``seed``, so results are
 independent of worker scheduling and ``num_workers``.
+
+**Unweighted only.**  The reconcile and its bound count edges, not
+probability mass, so :meth:`ShardedShedder.reduce` rejects a graph that
+carries edge probabilities with :class:`~repro.errors.ReductionError`;
+reduce it with the whole-graph ``CRRShedder``/``BM2Shedder`` instead.
 """
 
 from __future__ import annotations
@@ -46,10 +51,11 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.base import EdgeShedder, timed_phase
-from repro.core.bm2 import bm2_reduce_ids
-from repro.core.crr import crr_reduce_ids
+from repro.core.bm2 import bm2_reduce_ids, check_sparsify_args
+from repro.core.crr import check_rewiring_args, crr_reduce_ids
 from repro.core.discrepancy import ArrayDegreeTracker, round_half_up
 from repro.core.sparsify import edcs_beta, prune_boundary_ids
+from repro.errors import ReductionError
 from repro.graph.csr import CSRAdjacency
 from repro.graph.graph import Graph
 from repro.graph.parallel import _init_shard_worker, _pool_context, shard_worker_snapshot
@@ -367,12 +373,10 @@ class ShardedShedder(EdgeShedder):
             raise ValueError(
                 f"importance must be 'betweenness' or 'random', got {importance!r}"
             )
-        if sparsify not in ("off", "edcs"):
-            raise ValueError(f"sparsify must be 'off' or 'edcs', got {sparsify!r}")
+        check_rewiring_args(steps, steps_factor)
+        check_sparsify_args(sparsify, sparsify_beta)
         if sparsify != "off" and method != "bm2":
             raise ValueError("sparsify requires method='bm2'")
-        if sparsify_beta is not None and sparsify_beta < 1:
-            raise ValueError(f"sparsify_beta must be positive, got {sparsify_beta}")
         self.method = method
         self.num_shards = num_shards
         self.num_workers = num_workers
@@ -430,6 +434,12 @@ class ShardedShedder(EdgeShedder):
         return ordered  # type: ignore[return-value]
 
     def _reduce(self, graph: Graph, p: float) -> Tuple[Graph, Dict[str, Any]]:
+        if graph.is_weighted:
+            raise ReductionError(
+                "sharded shedding needs an unweighted graph: the boundary"
+                " reconcile and its delta bound count edges, not probability"
+                " mass (reduce weighted graphs with CRRShedder/BM2Shedder)"
+            )
         stats: Dict[str, Any] = {
             "method": self.method,
             "num_shards": self.num_shards,

@@ -102,6 +102,14 @@ class TestBM2Invariants:
         with pytest.raises(ValueError):
             BM2Shedder(rounding="nearest")
 
+    @pytest.mark.parametrize("beta", [2.5, True, float("nan"), 0, -3, "4"])
+    def test_bad_sparsify_beta_rejected_at_construction(self, beta):
+        # 2.5 and True used to run silently as beta=2 / beta=1; nan failed
+        # deep inside reduce().
+        with pytest.raises(ValueError, match="sparsify_beta") as info:
+            BM2Shedder(sparsify="edcs", sparsify_beta=beta)
+        assert repr(beta) in str(info.value)
+
     def test_deterministic(self, small_powerlaw):
         a = BM2Shedder(seed=0).reduce(small_powerlaw, 0.5)
         b = BM2Shedder(seed=0).reduce(small_powerlaw, 0.5)

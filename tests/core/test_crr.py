@@ -89,6 +89,27 @@ class TestCRRBasics:
         with pytest.raises(ValueError):
             CRRShedder(steps_factor=-2.0)
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), True, "10"])
+    def test_non_finite_steps_factor_rejected_at_construction(self, factor):
+        # nan/inf used to fail inside reduce() (int conversion / overflow).
+        with pytest.raises(ValueError, match="steps_factor") as info:
+            CRRShedder(steps_factor=factor)
+        assert repr(factor) in str(info.value)
+
+    @pytest.mark.parametrize("steps", [2.5, True, "3"])
+    def test_non_integer_steps_rejected_at_construction(self, steps):
+        # 2.5 used to fail inside reduce() with a slice-index TypeError.
+        with pytest.raises(ValueError, match="steps") as info:
+            CRRShedder(steps=steps)
+        assert repr(steps) in str(info.value)
+
+    def test_integer_like_arguments_still_accepted(self, small_powerlaw):
+        import numpy as np
+
+        a = CRRShedder(steps=np.int64(40), steps_factor=2, seed=0)
+        b = CRRShedder(steps=40, steps_factor=2.0, seed=0)
+        assert a.reduce(small_powerlaw, 0.5).reduced == b.reduce(small_powerlaw, 0.5).reduced
+
     def test_delta_reported_matches_recomputation(self, small_powerlaw):
         result = CRRShedder(seed=2, num_betweenness_sources=32).reduce(small_powerlaw, 0.4)
         assert result.delta == pytest.approx(

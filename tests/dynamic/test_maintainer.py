@@ -31,6 +31,15 @@ class TestConstruction:
         with pytest.raises(ReductionError):
             IncrementalShedder(small_er, 0.5, drift=DriftMonitor(0.4))
 
+    def test_weighted_graph_rejected(self, small_er):
+        # BM2 would seed it with the expected-degree objective while the
+        # maintenance counts edges; refuse instead of mixing the two.
+        from repro.uncertain import attach_random_weights
+
+        weighted = attach_random_weights(small_er.copy(), seed=0)
+        with pytest.raises(ReductionError, match="unweighted"):
+            IncrementalShedder(weighted, 0.5, seed=0)
+
     def test_reservoir_holds_shed_edges(self, small_er):
         shed = IncrementalShedder(small_er, 0.5, seed=0)
         shed_count = small_er.num_edges - shed.reduced.num_edges

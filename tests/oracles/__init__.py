@@ -6,5 +6,7 @@ suites can keep asserting bit-identity (CRR, BM2, b-matching, the degree
 tracker, Brandes, label propagation) or statistical agreement (UDS, the
 node2vec walker and SGNS trainer), and the micro-benchmarks in
 ``benchmarks/`` can keep measuring their speedups against the same
-baselines.  Nothing under ``src/`` imports from this package.
+baselines.  ``uncertain`` holds the weight-blind baseline the
+expected-degree objective is compared against.  Nothing under ``src/``
+imports from this package.
 """

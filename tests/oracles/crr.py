@@ -1,20 +1,27 @@
-"""The scalar CRR rewiring loop (oracle for the array swap loop).
+"""The label-space CRR pipeline with the scalar rewiring loop (oracle).
 
-:class:`LegacyCRRShedder` keeps :class:`CRRShedder`'s Phase 1 and replaces
-Phase 2 with the original per-step loop over the dict
+:class:`LegacyCRRShedder` runs Algorithm 1 the way it was first written:
+Phase 1 ranks labelled edges (:func:`top_edges_by_betweenness`, a
+``rng.choice`` over ``graph.edges()``, or a custom callable's scores),
+and Phase 2 is the per-step loop over the dict
 :class:`~tests.oracles.tracker.DegreeTracker` and two
-:class:`IndexedEdgePool` pools.  Both consume the RNG identically and
-accept the exact same swap sequence, so the reduced graphs are identical.
+:class:`IndexedEdgePool` pools.  It consumes the RNG exactly as the
+id-space :class:`repro.core.crr.CRRShedder` does and accepts the same
+swap sequence, so the reduced graphs are identical (unweighted inputs).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
+from repro.core.base import timed_phase
 from repro.core.crr import _MIN_IMPROVEMENT, CRRShedder, IndexedEdgePool
+from repro.core.discrepancy import round_half_up
+from repro.graph.centrality import top_edges_by_betweenness
 from repro.graph.graph import Edge, Graph
+from repro.rng import ensure_rng
 
 from tests.oracles.tracker import DegreeTracker
 
@@ -22,7 +29,57 @@ __all__ = ["LegacyCRRShedder"]
 
 
 class LegacyCRRShedder(CRRShedder):
-    """:class:`CRRShedder` with the scalar rewiring loop."""
+    """:class:`CRRShedder` in label space with the scalar rewiring loop."""
+
+    def _reduce(self, graph: Graph, p: float) -> Tuple[Graph, Dict[str, Any]]:
+        rng = ensure_rng(self._seed)
+        target = round_half_up(p * graph.num_edges)
+        steps = self.steps
+        if steps is None:
+            steps = round_half_up(self.steps_factor * p * graph.num_edges)
+
+        stats: Dict[str, Any] = {
+            "target_edges": target,
+            "steps": steps,
+            "initial_ranking": (
+                self.importance if isinstance(self.importance, str) else "custom"
+            ),
+        }
+        with timed_phase(stats, "ranking_seconds"):
+            kept_edges = self._initial_edges(graph, target, rng)
+        with timed_phase(stats, "rewiring_seconds"):
+            reduced = self._rewire(graph, p, kept_edges, steps, rng, stats)
+        return reduced, stats
+
+    def _initial_edges(
+        self, graph: Graph, target: int, rng: np.random.Generator
+    ) -> List[Edge]:
+        """Phase 1: the [P]-edge initial selection over labelled edges."""
+        target = min(target, graph.num_edges)
+        if self.importance == "random":
+            edges = list(graph.edges())
+            picks = rng.choice(len(edges), size=target, replace=False)
+            return [edges[i] for i in picks]
+        if self.importance == "betweenness":
+            return top_edges_by_betweenness(
+                graph,
+                target,
+                num_sources=self.num_betweenness_sources,
+                seed=rng,
+                tie_seed=rng,
+            )
+        # Custom importance: rank by the caller's scores, random ties.
+        scores = dict(self.importance(graph))
+        missing = [edge for edge in graph.edges() if edge not in scores]
+        if missing:
+            raise ValueError(
+                f"importance callable left {len(missing)} edges unscored"
+                f" (e.g. {missing[0]!r}); score every canonical edge"
+            )
+        edges = list(scores)
+        rng.shuffle(edges)
+        edges.sort(key=lambda edge: scores[edge], reverse=True)
+        return edges[:target]
 
     def _rewire(
         self,

@@ -5,9 +5,10 @@ Two families:
 * the weighted :class:`ArrayDegreeTracker` against a brute-force oracle
   that recomputes ``Δ_E = Σ|E[deg_G'(v)] − p·E[deg_G(v)]|`` from scratch
   after every mutation;
-* the weights=None / all-ones degeneration — the weighted engines must
-  be *bit-identical* to the unweighted array engines (the expression
-  shapes share association order by construction).
+* the all-ones degeneration — CRR/BM2 on an all-ones weight field (the
+  expected-degree objective) must be *bit-identical* to the same shedder
+  on the unweighted graph (the expression shapes share association order
+  by construction).
 """
 
 import math
@@ -20,7 +21,6 @@ from repro.core import BM2Shedder, CRRShedder
 from repro.core.discrepancy import ArrayDegreeTracker
 from repro.graph import Graph
 from repro.graph.generators import erdos_renyi, powerlaw_cluster
-from repro.uncertain import WeightedBM2Shedder, WeightedCRRShedder
 
 
 @st.composite
@@ -128,13 +128,18 @@ def test_all_ones_tracker_is_bit_identical(seed, p):
 @given(st.integers(0, 2**16), st.sampled_from([0.3, 0.5, 0.7]))
 @settings(max_examples=10, deadline=None)
 def test_weighted_engines_degenerate_bit_identically(seed, p):
-    """W-BM2/W-CRR on weights=None inputs == BM2/CRR array engines."""
+    """BM2/CRR on an all-ones weight field == BM2/CRR on the unweighted graph."""
     graph = powerlaw_cluster(50, 2, 0.3, seed=seed)
+    ones = graph.copy()
+    for u, v in ones.edges():
+        ones.set_edge_weight(u, v, 1.0)
     bm2 = BM2Shedder(seed=0).reduce(graph, p)
-    wbm2 = WeightedBM2Shedder(seed=0).reduce(graph, p)
+    wbm2 = BM2Shedder(seed=0).reduce(ones, p)
+    assert wbm2.stats["repair_engine"] == "weighted-heap"
     assert sorted(wbm2.reduced.edges()) == sorted(bm2.reduced.edges())
     assert wbm2.delta == bm2.delta
     crr = CRRShedder(seed=0).reduce(graph, p)
-    wcrr = WeightedCRRShedder(seed=0).reduce(graph, p)
+    wcrr = CRRShedder(seed=0).reduce(ones, p)
+    assert wcrr.stats["weighted"] is True
     assert sorted(wcrr.reduced.edges()) == sorted(crr.reduced.edges())
     assert wcrr.delta == crr.delta

@@ -41,6 +41,34 @@ class TestValidation:
         with pytest.raises(ValueError):
             ShardedShedder(importance="bogus")
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"steps_factor": float("nan")},
+            {"steps_factor": float("inf")},
+            {"steps": 2.5},
+            {"method": "bm2", "sparsify": "edcs", "sparsify_beta": 2.5},
+            {"method": "bm2", "sparsify": "edcs", "sparsify_beta": True},
+            {"method": "bm2", "sparsify": "edcs", "sparsify_beta": float("nan")},
+        ],
+    )
+    def test_shares_the_shedders_argument_checks(self, kwargs):
+        name, value = list(kwargs.items())[-1]
+        with pytest.raises(ValueError, match=name) as info:
+            ShardedShedder(**kwargs)
+        assert repr(value) in str(info.value)
+
+    def test_weighted_graph_rejected(self, small_powerlaw):
+        # The reconcile and its delta bound count edges, not probability
+        # mass: a weighted graph must not be shed per shard silently.
+        from repro.errors import ReductionError
+        from repro.uncertain import attach_random_weights
+
+        weighted = attach_random_weights(small_powerlaw.copy(), seed=0)
+        for method in SHARD_METHODS:
+            with pytest.raises(ReductionError, match="unweighted"):
+                ShardedShedder(method=method, num_shards=2, seed=0).reduce(weighted, 0.5)
+
     def test_name_carries_method(self):
         assert ShardedShedder(method="crr").name == "ShardedCRR"
         assert ShardedShedder(method="bm2").name == "ShardedBM2"

@@ -146,6 +146,33 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["reduce", "--scale", "0.02", "--method", "crr", "--shards", "0"])
 
+    def test_reduce_sharded_rejects_weight_col_input(self, tmp_path):
+        # --weight-col alone loads probabilities; the sharded runner must
+        # refuse them (its reconcile counts edges, not probability mass).
+        path = tmp_path / "weighted.txt"
+        path.write_text("0 1 0.5\n1 2 0.25\n2 3 0.75\n3 0 0.5\n0 2 0.9\n1 3 0.4\n")
+        with pytest.raises(SystemExit, match="unweighted"):
+            main(
+                [
+                    "reduce", "--input", str(path), "--weight-col", "2",
+                    "--method", "bm2", "--shards", "2",
+                ]
+            )
+
+    def test_reduce_sharded_rejects_weighted_dataset(self):
+        with pytest.raises(SystemExit, match="unweighted"):
+            main(
+                [
+                    "reduce", "--scale", "0.02", "--method", "crr",
+                    "--sources", "8", "--weighted", "--shards", "2",
+                ]
+            )
+
+    def test_reduce_weighted_runs_the_plain_method(self, capsys):
+        args = ["reduce", "--scale", "0.02", "--method", "bm2", "--weighted", "--json"]
+        assert main(args) == 0
+        assert _json_out(capsys)["method"] == "BM2"
+
     def test_reduce_shards_one_matches_whole_graph(self, capsys):
         args = [
             "reduce",

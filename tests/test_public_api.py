@@ -115,14 +115,22 @@ class TestOneEnginePerAlgorithm:
     scan), together with every ``engine=``/``repair=`` selector, the
     ``max_rounds=``/``block_size=`` b-matching variants and CRR's
     ``skip_ranking=`` shorthand for ``importance="random"``.
+
+    Also removed: ``WeightedCRRShedder``/``WeightedBM2Shedder`` and every
+    ``weighted=`` selector — CRR and BM2 run the expected-degree objective
+    exactly when their input carries edge probabilities.
     """
 
     REMOVED_NAMES = {
-        "repro": ["DegreeTracker"],
+        "repro": ["DegreeTracker", "WeightedCRRShedder", "WeightedBM2Shedder"],
         "repro.core": ["DegreeTracker", "bipartite_repair"],
         "repro.graph": ["greedy_b_matching"],
+        "repro.service.request": ["WeightedCRRShedder", "WeightedBM2Shedder"],
+        "repro.uncertain": ["WeightedCRRShedder", "WeightedBM2Shedder"],
     }
-    SELECTORS = {"engine", "repair", "max_rounds", "block_size", "skip_ranking"}
+    SELECTORS = {
+        "engine", "repair", "max_rounds", "block_size", "skip_ranking", "weighted",
+    }
 
     @pytest.mark.parametrize("module_name", sorted(REMOVED_NAMES))
     def test_removed_names_are_gone(self, module_name):
@@ -138,6 +146,8 @@ class TestOneEnginePerAlgorithm:
             "repro.core.bm2:BM2Shedder",
             "repro.core.bm2:bipartite_repair_ids",
             "repro.core.bm2:bm2_reduce_ids",
+            "repro.core.crr:crr_reduce_ids",
+            "repro.core.crr:crr_rewire_ids",
             "repro.baselines.uds:UDSSummarizer",
             "repro.graph.communities:label_propagation",
             "repro.graph.matching:greedy_b_matching_ids",
@@ -162,6 +172,23 @@ class TestOneEnginePerAlgorithm:
         for attr in path.split("."):
             obj = getattr(obj, attr)
         assert not self.SELECTORS & set(inspect.signature(obj).parameters)
+
+    def test_weighted_shedder_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.uncertain.shedders")
+
+    def test_request_has_no_weighted_field(self):
+        import dataclasses
+
+        from repro.service import ReductionRequest
+
+        assert "weighted" not in {f.name for f in dataclasses.fields(ReductionRequest)}
+
+    def test_crr_has_no_label_space_phases(self):
+        from repro import CRRShedder
+
+        assert not hasattr(CRRShedder, "_initial_edges")
+        assert not hasattr(CRRShedder, "_rewire")
 
     def test_session_config_has_no_engine(self):
         import dataclasses
