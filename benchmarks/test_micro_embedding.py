@@ -5,7 +5,10 @@ Erdos-Renyi graph (the same harness ``test_micro_shedding`` uses), the
 batched walk generator must beat the legacy per-step scalar walker by at
 least 5x (uniform and biased configurations) and the mini-batched SGNS
 trainer must beat the legacy per-center loop by at least 3x on the same
-walk corpus.  The legacy sides are the oracles in
+walk corpus.  SGNS is also gated on the link-prediction workload's own
+shape, the 524-node BM2 reduction of ca-grqc at scale 0.1, which trains
+on the dense context update (the 2k-node graph takes the scatter path).
+The legacy sides are the oracles in
 ``tests/oracles/embedding.py``.  The numbers are archived as
 BenchReports and written to ``BENCH_PR5.json`` at the repository root.
 
@@ -30,7 +33,10 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import BenchReport
+from repro.core import BM2Shedder
+from repro.datasets.registry import load_dataset
 from repro.embedding import generate_walk_matrix, train_skipgram
+from repro.embedding.skipgram import scatter_path
 from repro.graph import erdos_renyi
 
 from tests.oracles.embedding import _legacy_generate_walks, legacy_train_skipgram
@@ -45,6 +51,10 @@ ACCEPT_SEED = 42
 #: dispatch overhead while keeping the legacy side under a minute).
 NUM_WALKS = 2
 WALK_LENGTH = 20
+#: The link-prediction shape: ca-grqc 0.1 reduced by BM2 at p = 0.5, with
+#: LinkPredictionTask's walk budget (5 walks of 20 steps per node).
+GRQC_SCALE, GRQC_SEED, GRQC_P = 0.1, 0, 0.5
+GRQC_NUM_WALKS = 5
 #: Best-of rounds for the (cheap) batched side; the legacy side runs once.
 ARRAY_ROUNDS = 3
 #: Hard CI floor (noise-tolerant) vs advisory acceptance targets.
@@ -164,13 +174,48 @@ def test_walk_engine_speedup(benchmark, accept_graph, archive_report, label, p, 
     )
 
 
-def test_sgns_engine_speedup(benchmark, accept_graph, archive_report):
-    graph = accept_graph
-    matrix = generate_walk_matrix(
-        graph, num_walks=NUM_WALKS, walk_length=WALK_LENGTH, seed=0
-    )
-    num_nodes = graph.num_nodes
+@pytest.fixture(scope="module")
+def grqc_reduction_graph():
+    """The analyse workload's link-prediction input: ca-grqc at scale 0.1,
+    BM2-reduced at p = 0.5 (524 nodes, under the dense-update cut-off)."""
+    graph = load_dataset("ca-grqc", scale=GRQC_SCALE, seed=GRQC_SEED)
+    return BM2Shedder().reduce(graph, GRQC_P).reduced
+
+
+def _sgns_cases(accept_graph, grqc_reduction_graph):
+    """(section, graph, graph payload, walk config) per SGNS corpus."""
+    return {
+        "sgns": (
+            accept_graph,
+            _graph_payload(accept_graph),
+            {"num_walks": NUM_WALKS, "walk_length": WALK_LENGTH},
+        ),
+        "sgns_grqc": (
+            grqc_reduction_graph,
+            {
+                "dataset": "ca-grqc",
+                "scale": GRQC_SCALE,
+                "seed": GRQC_SEED,
+                "reduction": f"BM2 p={GRQC_P}",
+                "nodes": grqc_reduction_graph.num_nodes,
+                "edges": grqc_reduction_graph.num_edges,
+            },
+            {"num_walks": GRQC_NUM_WALKS, "walk_length": WALK_LENGTH},
+        ),
+    }
+
+
+@pytest.mark.parametrize("section", ["sgns", "sgns_grqc"], ids=["er2k", "grqc"])
+def test_sgns_engine_speedup(
+    benchmark, accept_graph, grqc_reduction_graph, archive_report, section
+):
+    graph, graph_payload, walk_config = _sgns_cases(
+        accept_graph, grqc_reduction_graph
+    )[section]
+    matrix = generate_walk_matrix(graph, seed=0, **walk_config)
+    num_nodes = graph.csr().num_nodes
     kwargs = dict(num_nodes=num_nodes, dimensions=32, window=5, negatives=5, epochs=1)
+    path = scatter_path(num_nodes, dimensions=32, negatives=5)
 
     def run_batched():
         return train_skipgram(matrix, seed=1, **kwargs)
@@ -189,16 +234,17 @@ def test_sgns_engine_speedup(benchmark, accept_graph, archive_report):
     assert np.isfinite(legacy_embeddings).all()
 
     speedup = legacy_seconds / batched_seconds
-    _check_speedup("SGNS", speedup, SGNS_TARGET)
+    _check_speedup(f"SGNS ({section}, {path})", speedup, SGNS_TARGET)
 
     report = BenchReport(
-        experiment_id="micro_embedding_sgns",
+        experiment_id=f"micro_embedding_{section}",
         title="Mini-batched SGNS trainer vs legacy per-center loop",
         headers=["graph", "pairs source", "legacy s", "batched s", "speedup"],
         rows=[
             [
-                f"ER n={graph.num_nodes} m={graph.num_edges} seed={ACCEPT_SEED}",
-                f"{matrix.shape[0]}x{WALK_LENGTH} walks, window=5, neg=5",
+                f"n={num_nodes} m={graph.num_edges} ({path} context update)",
+                f"{matrix.shape[0]}x{walk_config['walk_length']} walks, "
+                "window=5, neg=5",
                 legacy_seconds,
                 batched_seconds,
                 speedup,
@@ -206,7 +252,9 @@ def test_sgns_engine_speedup(benchmark, accept_graph, archive_report):
         ],
         notes=[
             "Batched: pair arrays built once, shuffled mini-batches, "
-            "cumsum/searchsorted negative sampling, adaptive scatter.",
+            "alias-table negative sampling, float32 tables, dense GEMM "
+            "context update under the node cut-off and a flat add.at "
+            "scatter above it.",
             "Same corpus for both engines; equivalence is statistical "
             "(update granularity differs) — pinned by the link-prediction "
             "utility test.",
@@ -214,14 +262,15 @@ def test_sgns_engine_speedup(benchmark, accept_graph, archive_report):
     )
     archive_report(report)
     _record(
-        "sgns",
+        section,
         {
-            "graph": _graph_payload(graph),
-            **_walk_payload(),
+            "graph": graph_payload,
+            **walk_config,
             "dimensions": 32,
             "window": 5,
             "negatives": 5,
             "epochs": 1,
+            "context_update": path,
             "legacy_seconds": round(legacy_seconds, 4),
             "batched_seconds": round(batched_seconds, 4),
             "speedup": round(speedup, 2),

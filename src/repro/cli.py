@@ -565,7 +565,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         print(
             f"embedding (n={timing['nodes']:.0f}, m={timing['edges']:.0f}): "
             f"walks {timing['walk_seconds']:.3f}s, "
-            f"sgns {timing['sgns_seconds']:.3f}s"
+            f"sgns {timing['sgns_seconds']:.3f}s "
+            f"({timing['sgns_pairs']} pairs, {timing['sgns_path']})"
         )
     return 0
 

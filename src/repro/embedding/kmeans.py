@@ -56,6 +56,9 @@ def kmeans(
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise EmbeddingError(f"points must be 2-D, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        row = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
+        raise EmbeddingError(f"points must be finite, row {row} is not")
     n = points.shape[0]
     if n_clusters < 1:
         raise EmbeddingError(f"n_clusters must be >= 1, got {n_clusters}")

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import EmbeddingError
-from repro.embedding.skipgram import train_skipgram
+from repro.embedding.skipgram import count_skipgram_pairs, scatter_path, train_skipgram
 from repro.embedding.walks import generate_walk_matrix
 from repro.graph.graph import Graph, Node
 from repro.rng import RandomState, ensure_rng
@@ -31,7 +31,11 @@ class Node2VecModel:
     """Trained embeddings plus the label mapping used to index them.
 
     ``walk_seconds``/``sgns_seconds`` record the two pipeline stages'
-    wall-clock cost (surfaced by ``repro-shed evaluate --json``).
+    wall-clock cost; ``sgns_pairs`` is the number of (center, context)
+    examples per SGNS epoch and ``sgns_path`` the context-update path
+    that trained them (``"dense"`` or ``"scatter"``, see
+    :func:`repro.embedding.skipgram.scatter_path`).  All four are
+    surfaced by ``repro-shed evaluate --json``.
     """
 
     embeddings: np.ndarray
@@ -39,6 +43,8 @@ class Node2VecModel:
     index_of: Dict[Node, int]
     walk_seconds: float = 0.0
     sgns_seconds: float = 0.0
+    sgns_pairs: int = 0
+    sgns_path: str = ""
 
     def vector(self, node: Node) -> np.ndarray:
         """Embedding vector for an original node label."""
@@ -95,4 +101,6 @@ def node2vec_embed(
         index_of=csr.index_of,
         walk_seconds=walk_seconds,
         sgns_seconds=sgns_seconds,
+        sgns_pairs=count_skipgram_pairs(walks, window),
+        sgns_path=scatter_path(csr.num_nodes, dimensions, negatives),
     )

@@ -10,7 +10,8 @@ graph's predictions ``L_s`` against the original's ``L`` as
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set
+import numbers
+from typing import Any, Dict, FrozenSet, List, Optional, Set
 
 from repro.embedding.kmeans import kmeans
 from repro.embedding.node2vec import node2vec_embed
@@ -72,6 +73,19 @@ class LinkPredictionTask(GraphTask):
             raise ValueError(
                 f"pair_universe must be 'own' or 'original', got {pair_universe!r}"
             )
+        for name, value in (
+            ("n_clusters", n_clusters),
+            ("dimensions", dimensions),
+            ("num_walks", num_walks),
+            ("walk_length", walk_length),
+            ("epochs", epochs),
+        ):
+            if (
+                not isinstance(value, numbers.Integral)
+                or isinstance(value, bool)
+                or value < 1
+            ):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         self.n_clusters = n_clusters
         self.dimensions = dimensions
         self.num_walks = num_walks
@@ -81,8 +95,9 @@ class LinkPredictionTask(GraphTask):
         self.workers = workers
         self._seed = seed
         #: one entry per embedding run, in call order (original first when
-        #: driven by :meth:`GraphTask.evaluate`): walk/SGNS wall-clock.
-        self.embedding_timings: List[Dict[str, float]] = []
+        #: driven by :meth:`GraphTask.evaluate`): walk/SGNS wall-clock, the
+        #: SGNS pair count and context-update path.
+        self.embedding_timings: List[Dict[str, Any]] = []
 
     def _cluster_labels(self, graph: Graph) -> dict:
         """node -> community label from a node2vec + k-means pipeline."""
@@ -102,6 +117,8 @@ class LinkPredictionTask(GraphTask):
                 "edges": float(graph.num_edges),
                 "walk_seconds": model.walk_seconds,
                 "sgns_seconds": model.sgns_seconds,
+                "sgns_pairs": model.sgns_pairs,
+                "sgns_path": model.sgns_path,
             }
         )
         clusters = min(self.n_clusters, graph.num_nodes)

@@ -63,3 +63,11 @@ class TestKMeans:
             kmeans(np.ones((5, 2)), n_clusters=0)
         with pytest.raises(EmbeddingError):
             kmeans(np.ones((3, 2)), n_clusters=4)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_points_rejected(self, bad):
+        points = np.ones((6, 3))
+        points[4, 1] = bad
+        # Named up front instead of k-means++'s "Probabilities contain NaN".
+        with pytest.raises(EmbeddingError, match="finite, row 4"):
+            kmeans(points, n_clusters=2, seed=0)

@@ -78,3 +78,11 @@ class TestEnginesAndWorkers:
         model = node2vec_embed(cycle6, dimensions=4, num_walks=2, walk_length=5, seed=0)
         assert model.walk_seconds > 0.0
         assert model.sgns_seconds > 0.0
+
+    def test_pair_count_and_path_recorded(self, cycle6):
+        model = node2vec_embed(
+            cycle6, dimensions=4, num_walks=2, walk_length=5, window=2, seed=0
+        )
+        # 12 full-length walks of 5 nodes: 2 * (4 + 3) ordered pairs each.
+        assert model.sgns_pairs == 12 * 2 * (4 + 3)
+        assert model.sgns_path == "dense"

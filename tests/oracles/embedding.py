@@ -103,7 +103,10 @@ def legacy_train_skipgram(
     seed: RandomState = None,
 ) -> np.ndarray:
     """:func:`repro.embedding.train_skipgram`'s contract on the scalar trainer."""
-    _validate_training(walks, num_nodes, dimensions, window, negatives, batch_size=1)
+    _validate_training(
+        walks, num_nodes, dimensions, window, negatives, epochs, learning_rate,
+        batch_size=1,
+    )
     if isinstance(walks, np.ndarray):
         walks = [[node for node in row if node >= 0] for row in walks.tolist()]
     return _legacy_train_skipgram(

@@ -74,6 +74,16 @@ class TestLinkPredictionTask:
         assert entry["nodes"] == 40.0
         assert entry["walk_seconds"] > 0.0
         assert entry["sgns_seconds"] > 0.0
+        assert entry["sgns_pairs"] > 0
+        assert entry["sgns_path"] == "dense"
+
+    @pytest.mark.parametrize(
+        "name", ["n_clusters", "dimensions", "num_walks", "walk_length", "epochs"]
+    )
+    @pytest.mark.parametrize("value", [0, -1, 2.5, True])
+    def test_bad_hyperparameters_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            LinkPredictionTask(seed=0, **{name: value})
 
 
 class TestEngineParity:
@@ -114,6 +124,27 @@ class TestEngineParity:
         batched = self._mean_utility(sbm, reduction, LinkPredictionTask, **params)
         legacy = self._mean_utility(sbm, reduction, LegacyLinkPredictionTask, **params)
         assert batched == pytest.approx(legacy, abs=0.1)
+
+    @pytest.mark.slow
+    def test_engine_utilities_agree_above_dense_cut_off(self):
+        """The same pin on a 300-node graph trained at ``dimensions=8``,
+        above the dense context-update cut-off, so the flat-scatter path
+        is what runs (observed engine gap ~0.02)."""
+        graph = stochastic_block_model(
+            [100, 100, 100],
+            [[0.08 if i == j else 0.004 for j in range(3)] for i in range(3)],
+            seed=3,
+        )
+        reduction = BM2Shedder(seed=0).reduce(graph, 0.6)
+        params = dict(num_walks=4, walk_length=12, dimensions=8)
+        probe = LinkPredictionTask(seed=0, **params)
+        probe.compute(graph)
+        assert probe.embedding_timings[0]["sgns_path"] == "scatter"
+        batched = self._mean_utility(graph, reduction, LinkPredictionTask, **params)
+        legacy = self._mean_utility(
+            graph, reduction, LegacyLinkPredictionTask, **params
+        )
+        assert batched == pytest.approx(legacy, abs=0.08)
 
     def test_workers_give_identical_artifact(self, sbm):
         serial = LinkPredictionTask(seed=2, num_walks=3, walk_length=10)

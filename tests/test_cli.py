@@ -227,6 +227,25 @@ class TestCommands:
         assert names == ["Vertex degree"]
         assert 0.0 <= payload["tasks"][0]["utility"] <= 1.0
 
+    def test_evaluate_json_reports_sgns_path_and_pairs(self, capsys):
+        code = main(
+            [
+                "evaluate",
+                "--dataset", "ca-grqc",
+                "--scale", "0.02",
+                "--method", "bm2",
+                "--p", "0.5",
+                "--tasks", "linkpred",
+                "--json",
+            ]
+        )
+        assert code == 0
+        timings = _json_out(capsys)["embedding_timings"]
+        assert len(timings) == 2  # original, then the reduction
+        for timing in timings:
+            assert timing["sgns_path"] == "dense"  # ~100 nodes, under the cut-off
+            assert timing["sgns_pairs"] > 0
+
     def test_evaluate_unknown_task(self):
         with pytest.raises(SystemExit):
             main(["evaluate", "--scale", "0.02", "--tasks", "nonsense"])
